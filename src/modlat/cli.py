@@ -2,7 +2,7 @@
 
 Every command is pure: the same arguments and seed produce byte-identical
 JSON.  Exit codes: 0 success, 1 a mathematical check failed (counterexample
-found), 2 usage or parse error.
+found), 2 usage or parse error, or an input refused by a size cap.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from .literals import (
     parse_spec_subset,
     parse_subgroup_elements,
     parse_zmodule,
+    split_top_level,
 )
-from .oracle import Universe
+from .oracle import OracleCapError, Universe
 from .spectrum import PrimeId, Z_BACKEND, monomial_backend
 
 KIND_BY_NAME = {k.value: k for k in ClosureKind}
@@ -177,7 +178,8 @@ def cmd_classify_member(args) -> tuple[int, dict]:
     kind = KIND_BY_NAME[args.kind]
     module = parse_module(args.module, backend)
     if args.gens is not None:
-        gens = [parse_module(g, backend) for g in args.gens.split(",") if g.strip()]
+        gens = [parse_module(g, backend) for g in split_top_level(args.gens)
+                if g.strip()]
         verdict = classify.generated_member(module, gens, kind)
         source = {"generators": [str(g) for g in gens]}
     else:
@@ -237,7 +239,7 @@ def _universe_from_args(args) -> Universe:
 
 def cmd_oracle_close(args) -> tuple[int, dict]:
     universe = _universe_from_args(args)
-    gens = [parse_zmodule(g) for g in args.gens.split(",")] if args.gens else []
+    gens = [parse_zmodule(g) for g in split_top_level(args.gens)]
     result = oracle.close(gens, _parse_kinds(args.kinds), universe)
     return 0, {
         "generators": [str(g) for g in gens],
@@ -402,7 +404,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, payload = args.handler(args)
-    except (LiteralError, ValueError) as exc:
+    except (LiteralError, ValueError, OracleCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args)

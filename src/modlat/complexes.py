@@ -1,7 +1,13 @@
 """Bounded complexes of free modules over the integers.
 
-Homology is computed exactly through Smith reduction, and the Koszul complex
-of an integer sequence is built with the contraction differential
+Homology is read off the Smith diagonals of the differentials, with no
+kernel basis or transform:
+
+    H_i = Z^(n_i - rk d_i - rk d_{i+1}) + Z/e_1 + ... + Z/e_k
+
+where d_i leaves degree i, n_i is the rank in degree i, and e_1 | ... | e_k
+are the nonunit invariant factors of d_{i+1}.  The Koszul complex of an
+integer sequence is built with the contraction differential
 
     d(e_{j_1 < ... < j_i}) = sum_k (-1)^(k+1) x_{j_k} e_{... without j_k ...}
 
@@ -14,9 +20,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .intlinalg import IntMatrix, kernel_basis, solve
+from .intlinalg import IntMatrix, smith_diagonal
 from .spectrum import SpecSubset, Z_BACKEND
-from .zmodules import IdealZ, ZModule, from_presentation, supp, v_of_ideal
+from .zmodules import IdealZ, ZModule, supp, v_of_ideal
 
 
 @dataclass(frozen=True)
@@ -86,27 +92,36 @@ def koszul_complex(sequence) -> FreeComplex:
     return FreeComplex(0, tuple(len(level) for level in bases), tuple(diffs))
 
 
+def _reduce(complex_: FreeComplex, degree: int) -> tuple[int, tuple[int, ...]]:
+    """Rank and nonunit invariant factors of the differential out of `degree`."""
+    diag = [x for x in smith_diagonal(complex_.differential(degree)) if x]
+    return len(diag), tuple(x for x in diag if x != 1)
+
+
+def _homology(complex_: FreeComplex, degree: int, out, into) -> ZModule:
+    return ZModule(complex_.rank_in(degree) - out[0] - into[0], into[1])
+
+
 def homology(complex_: FreeComplex, degree: int) -> ZModule:
     """ker(d_degree) / im(d_degree+1) in canonical form."""
     if degree < complex_.bottom_degree or degree > complex_.top_degree:
         return ZModule.zero()
-    out = complex_.differential(degree)
-    into = complex_.differential(degree + 1)
-    cycles = kernel_basis(out)
-    x = solve(cycles, into)
-    if x is None:
-        raise ValueError("boundaries escape the cycle lattice (d*d != 0?)")
-    return from_presentation(x)
+    return _homology(complex_, degree, _reduce(complex_, degree),
+                     _reduce(complex_, degree + 1))
 
 
 def homology_table(complex_: FreeComplex) -> dict[int, ZModule]:
-    return {i: homology(complex_, i) for i in complex_.degrees()}
+    """Homology in every degree, reducing each differential once."""
+    lo = complex_.bottom_degree
+    reduced = [_reduce(complex_, i) for i in range(lo, complex_.top_degree + 2)]
+    return {i: _homology(complex_, i, reduced[i - lo], reduced[i - lo + 1])
+            for i in complex_.degrees()}
 
 
 def complex_support(complex_: FreeComplex) -> SpecSubset:
     out = SpecSubset.empty(Z_BACKEND)
-    for i in complex_.degrees():
-        out = out.join(supp(homology(complex_, i)))
+    for h in homology_table(complex_).values():
+        out = out.join(supp(h))
     return out
 
 
@@ -116,9 +131,7 @@ def thick_member(complex_: FreeComplex, subset: SpecSubset) -> bool:
         raise ValueError("perfect complexes live over the integer backend")
     if not subset.is_specialization_closed():
         raise ValueError("membership criterion needs a specialization-closed subset")
-    return all(
-        supp(homology(complex_, i)).leq(subset) for i in complex_.degrees()
-    )
+    return all(supp(h).leq(subset) for h in homology_table(complex_).values())
 
 
 def _annihilated_by(n: int, m: ZModule) -> bool:

@@ -2,15 +2,17 @@
 
 Everything here runs on Python ints, so entry growth during elimination is
 absorbed by arbitrary precision arithmetic.  These routines are the substrate
-for the rest of the package: Smith normal forms give canonical forms of
-finitely generated abelian groups, kernel bases give homology, and integer
-solves give subgroup arithmetic.
+for the rest of the package: Smith diagonals give canonical forms of
+finitely generated abelian groups and the homology of free complexes, while
+full Smith forms (with their transforms), kernel bases and integer solves give
+subgroup arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 class IntMatrix:
@@ -134,16 +136,6 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.cols:
-        raise ValueError("column count mismatch")
-    return IntMatrix(
-        [list(r) for r in a.data] + [list(r) for r in b.data],
-        rows=a.rows + b.rows,
-        cols=a.cols,
-    )
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Unimodular U, V with U @ A @ V == D, D diagonal with d_i | d_{i+1}."""
@@ -160,17 +152,13 @@ PIVOT_STRATEGIES = ("min_abs", "first_nonzero")
 
 
 def _find_pivot(d, m, n, t, strategy):
+    if strategy == "first_nonzero":
+        return next(((i, j) for i in range(t, m) for j in range(t, n) if d[i][j]), None)
     best = None
     for i in range(t, m):
-        row = d[i]
-        for j in range(t, n):
-            x = row[j]
-            if x == 0:
-                continue
-            if strategy == "first_nonzero":
-                return (i, j)
-            if best is None or abs(x) < abs(d[best[0]][best[1]]):
-                best = (i, j)
+        x = min(filter(None, d[i][t:n]), key=abs, default=0)
+        if x and (best is None or abs(x) < abs(d[best[0]][best[1]])):
+            best = (i, d[i].index(x, t))
     return best
 
 
@@ -273,12 +261,104 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
     )
 
 
+def _rank_and_minor(d, m, n) -> tuple[int, int]:
+    """Rank r of the rows `d` and |M| for a nonzero r x r minor M.
+
+    Fraction-free (Bareiss) elimination with full pivoting: after step k every
+    entry of the working block is a (k+1) x (k+1) minor, so the last pivot is
+    the leading r x r minor of the permuted matrix.  `d` is overwritten.
+    """
+    prev = 1
+    for k in range(min(m, n)):
+        piv = _find_pivot(d, m, n, k, "min_abs")
+        if piv is None:
+            return k, abs(prev)
+        i, j = piv
+        d[k], d[i] = d[i], d[k]
+        for row in d[k:]:
+            row[k], row[j] = row[j], row[k]
+        dk = d[k]
+        p = dk[k]
+        for i in range(k + 1, m):
+            di = d[i]
+            c = di[k]
+            for j in range(k + 1, n):
+                di[j] = (di[j] * p - c * dk[j]) // prev
+        prev = p
+    return min(m, n), abs(prev)
+
+
+def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """The diagonal of `snf(a)`, computed without U or V.
+
+    With r the rank of `a` and M a nonzero r x r minor, the first r invariant
+    factors divide M.  They are therefore the first r invariant factors of
+    [a | M*I] too, whose column lattice contains M*Z^rows.  So the elimination
+    works in (Z/M)^rows: it reduces every entry modulo M, may scale a row by a
+    unit modulo M, and no entry ever exceeds M (Domich, Kannan and Trotter,
+    Math. Oper. Res. 1987).  Each pivot p contributes gcd(p, M); a block that
+    vanishes modulo M before step r contributes M for each remaining step; the
+    rest of the diagonal is zero.
+    """
+    m, n = a.rows, a.cols
+    rank, modulus = _rank_and_minor([list(row) for row in a.data], m, n)
+    d = [[x % modulus for x in row] for row in a.data]
+    diag = []
+    for t in range(rank):
+        piv = _find_pivot(d, m, n, t, "min_abs")
+        if piv is None:
+            diag += [modulus] * (rank - t)
+            break
+        d[t], d[piv[0]] = d[piv[0]], d[t]
+        for row in d[t:]:
+            row[t], row[piv[1]] = row[piv[1]], row[t]
+        while True:
+            p = d[t][t]
+            g = gcd(p, modulus)
+            if g == 1:
+                # A unit modulo M scales to 1 and clears its column in one
+                # step per row; the block left over needs nothing more.
+                inv = pow(p, -1, modulus)
+                rt = [x * inv % modulus for x in d[t][t:]]
+                for row in d[t + 1:]:
+                    c = row[t]
+                    if c:
+                        row[t:] = [(x - c * y) % modulus for x, y in zip(row[t:], rt)]
+                break
+            # Entries are residues in [0, M), so a nonzero remainder is
+            # strictly smaller than the pivot and swapping it in makes progress.
+            i = next((i for i in range(t + 1, m) if d[i][t]), None)
+            if i is not None:
+                q = d[i][t] // p
+                d[i][t:] = [(x - q * y) % modulus for x, y in zip(d[i][t:], d[t][t:])]
+                if d[i][t]:
+                    d[i], d[t] = d[t], d[i]
+                continue
+            j = next((j for j in range(t + 1, n) if d[t][j] % p), None)
+            if j is not None:
+                q = d[t][j] // p
+                for row in d[t:]:
+                    row[j] = (row[j] - q * row[t]) % modulus
+                    row[t], row[j] = row[j], row[t]
+                continue
+            # Column t is clear and p divides row t, so column operations
+            # would clear the row without touching the block.  gcd(p, M) must
+            # divide the rest of the block for the chain to hold.
+            bad = next((i for i in range(t + 1, m)
+                        if any(x % g for x in d[i][t + 1:])), None)
+            if bad is None:
+                break
+            d[t][t:] = [(x + y) % modulus for x, y in zip(d[t][t:], d[bad][t:])]
+        diag.append(g)
+    return tuple(diag) + (0,) * (min(m, n) - rank)
+
+
 def cokernel_structure(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Structure of Z^rows / (column lattice of `a`).
 
     Returns (free_rank, invariant_factors) with unit factors dropped.
     """
-    diag = snf(a).diagonal()
+    diag = smith_diagonal(a)
     nonzero = [x for x in diag if x != 0]
     free_rank = a.rows - len(nonzero)
     return free_rank, tuple(x for x in nonzero if x != 1)

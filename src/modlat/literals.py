@@ -40,6 +40,27 @@ _IDENT = re.compile(r"[a-zA-Z_][a-zA-Z_0-9]*")
 _INT = re.compile(r"\d+")
 
 
+def split_top_level(text: str) -> list[str]:
+    """Split at commas outside parentheses; blank text gives no pieces.
+
+    "R/(x, y),R/(z)" gives ["R/(x, y)", "R/(z)"].
+    """
+    if not text.strip():
+        return []
+    parts = []
+    depth = start = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
 def parse_context(text: str) -> tuple[str, ...]:
     """Ring context: "k[x,y,z]" or a bare comma list "x,y,z"."""
     raw = text.strip()
@@ -72,10 +93,6 @@ def parse_int_matrix(text: str) -> IntMatrix:
     return IntMatrix(data)
 
 
-def matrix_to_lists(matrix: IntMatrix) -> list[list[int]]:
-    return matrix.to_lists()
-
-
 def parse_zmodule(text: str) -> ZModule:
     raw = text.strip()
     if raw == "0":
@@ -103,10 +120,6 @@ def parse_zmodule(text: str) -> ZModule:
             raise LiteralError(text, pos, "a module term (Z, Z^r or Z/d)")
         pos += len(term) + 1
     return ZModule.from_cyclic_orders(rank, orders)
-
-
-def format_zmodule(module: ZModule) -> str:
-    return str(module)
 
 
 def parse_monomial(text: str, context) -> tuple[int, ...]:
@@ -209,21 +222,7 @@ def parse_spec_subset(text: str, backend) -> SpecSubset:
     if not m:
         raise LiteralError(text, 0, "closure{...} or set{...}")
     tag, body = m.group("tag"), m.group("body").strip()
-    primes = []
-    if body:
-        depth = 0
-        start = 0
-        parts = []
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(body[start:i])
-                start = i + 1
-        parts.append(body[start:])
-        primes = [parse_prime(part, backend) for part in parts]
+    primes = [parse_prime(part, backend) for part in split_top_level(body)]
     if tag == "closure":
         return SpecSubset(backend, frozenset(primes), True)
     return SpecSubset(backend, frozenset(primes), False)

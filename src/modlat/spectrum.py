@@ -316,14 +316,6 @@ def contains(subset: SpecSubset, prime: PrimeId) -> bool:
     return subset.contains(prime)
 
 
-def lattice_join(a: SpecSubset, b: SpecSubset) -> SpecSubset:
-    return a.join(b)
-
-
-def lattice_meet(a: SpecSubset, b: SpecSubset) -> SpecSubset:
-    return a.meet(b)
-
-
 def leq(a: SpecSubset, b: SpecSubset) -> bool:
     return a.leq(b)
 

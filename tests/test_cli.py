@@ -143,3 +143,30 @@ def test_text_format(capsys):
     code, out = run(capsys, "--format", "text", "module", "Z/6")
     assert code == 0
     assert "canonical: Z/6" in out
+
+
+def test_oracle_cap_exits_2(capsys):
+    code = main(["oracle", "close", "--gens", "Z/2", "--kinds", "sub",
+                 "--primes", "2,3,5,7", "--max-exp", "6", "--max-factors", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "cap" in lines[0]
+
+
+def test_gens_split_at_top_level_commas(capsys):
+    base = ("classify", "member", "--backend", "monomial",
+            "--vars", "a,b,c,d,e,f,g,h", "--kind", "serre",
+            "--gens", "R/(a*b*c*d, e*f*g*h),R/(a^2*h)")
+    code, payload = run_json(capsys, *base, "--module", "R/(b, e)")
+    assert code == 0
+    assert payload["generators"] == ["R/(e*f*g*h, a*b*c*d)", "R/(a^2*h)"]
+    # V(b, e) lies in V(abcd, efgh), the support of the first generator
+    assert payload["member"] is True
+    # the prime (b) lies in neither generator's support
+    code, payload = run_json(capsys, *base, "--module", "R/(b)")
+    assert code == 0
+    assert payload["member"] is False
+

@@ -1,7 +1,7 @@
 """Free complex and Koszul tests."""
 
 import random
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -15,9 +15,9 @@ from modlat.complexes import (
     koszul_cyclic_check,
     thick_member,
 )
-from modlat.intlinalg import IntMatrix
+from modlat.intlinalg import IntMatrix, kernel_basis, solve
 from modlat.spectrum import PrimeId, SpecSubset, Z_BACKEND
-from modlat.zmodules import ZModule, cyclic_filtration, supp
+from modlat.zmodules import ZModule, cyclic_filtration, from_presentation, supp
 
 
 def test_koszul_rank_one():
@@ -171,3 +171,59 @@ def test_homology_table_degrees():
     table = homology_table(k)
     assert sorted(table) == [0, 1, 2]
     assert table[0] == ZModule.cyclic(2)
+
+
+def _closed_form(sequence):
+    """H_i of a Koszul complex is (Z/g)^C(r-1, i), with g the gcd of the
+    length-r sequence (nonzero): over Z the sequence is unimodularly
+    equivalent to (g, 0, ..., 0)."""
+    g = 0
+    for x in sequence:
+        g = gcd(g, x)
+    r = len(sequence)
+    return {i: ZModule.from_cyclic_orders(0, [g] * comb(r - 1, i))
+            for i in range(r + 1)}
+
+
+@pytest.mark.parametrize("sequence", [
+    (39, 57, 58, 26, 34, 15, 20, 27),
+    (12, 18, 30, 42, 66, 78, 102, 6),
+])
+def test_koszul_length_8_closed_form(sequence):
+    assert homology_table(koszul_complex(sequence)) == _closed_form(sequence)
+
+
+def test_koszul_length_7_closed_form():
+    rng = random.Random("koszul-7")
+    for _ in range(4):
+        g = rng.choice((1, 2, 3, 6))
+        sequence = tuple(g * rng.randint(-(-10 // g), 99 // g) for _ in range(7))
+        assert homology_table(koszul_complex(sequence)) == _closed_form(sequence)
+
+
+def _kernel_homology(complex_, degree):
+    """ker/im through a cycle basis and an integer solve (transform path)."""
+    cycles = kernel_basis(complex_.differential(degree))
+    return from_presentation(solve(cycles, complex_.differential(degree + 1)))
+
+
+def test_homology_matches_kernel_path_on_changed_bases():
+    rng = random.Random("non-koszul")
+    for _ in range(6):
+        sequence = [rng.choice((2, 3, 4, 6, 0, 9)) for _ in range(rng.randrange(2, 4))]
+        k = koszul_complex(sequence)
+        transforms = []
+        for r in k.ranks:
+            m = IntMatrix.identity(r)
+            for _ in range(2 * r):
+                i, j = rng.randrange(r), rng.randrange(r)
+                if i != j:
+                    e = [[int(a == b) for b in range(r)] for a in range(r)]
+                    e[i][j] = rng.randint(-3, 3)
+                    m = m @ IntMatrix(e)
+            transforms.append(m)
+        other = change_basis(k, transforms)
+        table = homology_table(other)
+        for degree in other.degrees():
+            expected = _kernel_homology(other, degree)
+            assert homology(other, degree) == expected == table[degree]

@@ -18,6 +18,7 @@ from modlat.intlinalg import (
     det,
     invert_unimodular,
     kernel_basis,
+    smith_diagonal,
     snf,
     solve,
 )
@@ -202,3 +203,52 @@ def test_matrix_shape_validation():
     m = IntMatrix([], rows=0, cols=3)
     assert m.shape == (0, 3)
     assert (m @ IntMatrix.zeros(3, 2)).shape == (0, 2)
+
+
+def _seeded_matrix(rng, rows, cols, rank=None, scale=1):
+    """Entries in [-9, 9]; a product of rows x rank and rank x cols factors
+    when `rank` is given; every entry multiplied by `scale`."""
+    if rank is None:
+        data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    else:
+        left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+        data = [[sum(left[i][k] * right[k][j] for k in range(rank))
+                 for j in range(cols)] for i in range(rows)]
+    return IntMatrix([[scale * x for x in row] for row in data], rows=rows, cols=cols)
+
+
+@pytest.mark.parametrize("kind", ["full", "deficient", "scaled"])
+def test_smith_diagonal_matches_snf(kind):
+    rng = random.Random(f"smith-diagonal:{kind}")
+    for _ in range(40):
+        rows, cols = rng.randrange(1, 10), rng.randrange(1, 10)
+        if kind == "full":
+            a = _seeded_matrix(rng, rows, cols)
+        elif kind == "deficient":
+            a = _seeded_matrix(rng, rows, cols, rank=rng.randrange(1, min(rows, cols) + 1))
+        else:
+            a = _seeded_matrix(rng, rows, cols, rank=rng.randrange(1, min(rows, cols) + 1),
+                               scale=rng.choice((2, 6, 12)))
+        assert smith_diagonal(a) == snf(a).diagonal()
+
+
+def test_smith_diagonal_matches_determinantal_divisors():
+    rng = random.Random("smith-diagonal:dd")
+    for _ in range(40):
+        a = _seeded_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5),
+                           scale=rng.choice((1, 4)))
+        assert list(smith_diagonal(a)) == diagonal_from_determinantal_divisors(a)
+
+
+@pytest.mark.parametrize("a,expected", [
+    (IntMatrix.zeros(3, 4), (0, 0, 0)),
+    (IntMatrix([], rows=0, cols=3), ()),
+    (IntMatrix([[], [], []], rows=3, cols=0), ()),
+    (IntMatrix([[0]]), (0,)),
+    (IntMatrix([[-7]]), (7,)),
+    (IntMatrix([[2, 4], [6, 8]]), (2, 4)),
+    (IntMatrix([[6, 0], [0, 6]]), (6, 6)),
+])
+def test_smith_diagonal_edge_shapes(a, expected):
+    assert smith_diagonal(a) == expected == snf(a).diagonal()

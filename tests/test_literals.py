@@ -16,6 +16,7 @@ from modlat.literals import (
     parse_spec_subset,
     parse_subgroup_elements,
     parse_zmodule,
+    split_top_level,
 )
 from modlat.monomials import MonomialIdeal
 from modlat.spectrum import PrimeId, SpecSubset, Z_BACKEND, monomial_backend
@@ -144,3 +145,11 @@ def test_error_positions():
         assert "module term" in exc.expected
     else:
         raise AssertionError("expected a LiteralError")
+
+
+def test_split_top_level():
+    assert split_top_level("R/(x, y),R/(z)") == ["R/(x, y)", "R/(z)"]
+    assert split_top_level("Z/2,Z") == ["Z/2", "Z"]
+    assert split_top_level("(x,(y,z)),w") == ["(x,(y,z))", "w"]
+    assert split_top_level("a,,b") == ["a", "", "b"]
+    assert split_top_level("  ") == []
