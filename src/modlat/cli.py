@@ -169,7 +169,7 @@ def cmd_koszul(args) -> tuple[int, dict]:
         "ranks": list(complex_.ranks),
         "differentials": [d.to_lists() for d in complex_.differentials],
         "homology": {str(i): str(h) for i, h in sorted(table.items())},
-        "support": _subset_payload(complexes.complex_support(complex_)),
+        "support": _subset_payload(complexes.homology_support(table)),
     }
 
 
@@ -240,10 +240,11 @@ def _universe_from_args(args) -> Universe:
 def cmd_oracle_close(args) -> tuple[int, dict]:
     universe = _universe_from_args(args)
     gens = [parse_zmodule(g) for g in split_top_level(args.gens)]
-    result = oracle.close(gens, _parse_kinds(args.kinds), universe)
+    kinds = _parse_kinds(args.kinds)
+    result = oracle.close(gens, kinds, universe)
     return 0, {
         "generators": [str(g) for g in gens],
-        "kinds": sorted(_parse_kinds(args.kinds)),
+        "kinds": sorted(kinds),
         "universe_size": len(universe.members()),
         "closure": sorted(str(m) for m in result.members),
         "clipped": result.clipped,

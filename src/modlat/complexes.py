@@ -119,8 +119,13 @@ def homology_table(complex_: FreeComplex) -> dict[int, ZModule]:
 
 
 def complex_support(complex_: FreeComplex) -> SpecSubset:
+    return homology_support(homology_table(complex_))
+
+
+def homology_support(table: dict[int, ZModule]) -> SpecSubset:
+    """Join of the supports of the modules in a homology table."""
     out = SpecSubset.empty(Z_BACKEND)
-    for h in homology_table(complex_).values():
+    for h in table.values():
         out = out.join(supp(h))
     return out
 

@@ -5,12 +5,15 @@ genuine closures of generator sets under chosen operations, and produces
 replayable derivation witnesses for submodule membership.
 
 Torsion parts are handled by complete element-level enumeration (subgroups,
-homomorphism images, extension cocycles); free parts are handled by the
-structural reductions documented on each operation.  Results of an operation
-that land outside the universe are discarded and recorded through a clip
-flag, never silently.  Universes are closed under subgroups and under
-sub-multisets of primary factors, which is what makes the universe-restricted
-fixed points meaningful.
+homomorphism images, extension cocycles; kernels are the subgroups whose
+quotient embeds in the target); free parts are handled by the structural
+reductions documented on each operation.  One operation table serves both
+`close` and `check_closed`, and `close` reaches its fixed point semi-naively:
+each round applies operations only to inputs that include a class the round
+before added.  Results of an operation that land outside the universe are
+discarded and recorded through a clip flag, never silently.  Universes are
+closed under subgroups and under sub-multisets of primary factors, which is
+what makes the universe-restricted fixed points meaningful.
 """
 
 from __future__ import annotations
@@ -113,10 +116,6 @@ def _enumerate_universe(universe: Universe) -> tuple[ZModule, ...]:
     return tuple(out)
 
 
-def enumerate_universe(universe: Universe) -> tuple[ZModule, ...]:
-    return universe.members()
-
-
 # -- element-level machinery for finite torsion parts -----------------------
 
 
@@ -176,7 +175,7 @@ def _lift_columns(orders, elements) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _subgroup_type_cached(orders: tuple[int, ...], subgroup: frozenset) -> ZModule:
+def _subgroup_type(orders: tuple[int, ...], subgroup: frozenset) -> ZModule:
     if not orders:
         return ZModule.zero()
     rel = IntMatrix.diagonal(orders)
@@ -187,22 +186,14 @@ def _subgroup_type_cached(orders: tuple[int, ...], subgroup: frozenset) -> ZModu
     return zmodules.from_presentation(x)
 
 
-def _subgroup_type(orders, subgroup) -> ZModule:
-    return _subgroup_type_cached(tuple(orders), frozenset(subgroup))
-
-
 @lru_cache(maxsize=None)
-def _quotient_type_cached(orders: tuple[int, ...], subgroup: frozenset) -> ZModule:
+def _quotient_type(orders: tuple[int, ...], subgroup: frozenset) -> ZModule:
     if not orders:
         return ZModule.zero()
     rel = IntMatrix.diagonal(orders)
     return zmodules.from_presentation(
         hstack(_lift_columns(orders, sorted(subgroup)), rel)
     )
-
-
-def _quotient_type(orders, subgroup) -> ZModule:
-    return _quotient_type_cached(tuple(orders), frozenset(subgroup))
 
 
 @lru_cache(maxsize=None)
@@ -288,36 +279,22 @@ def kernel_types(source: ZModule, target: ZModule) -> frozenset:
     """Kernel classes of all maps source -> target.
 
     A kernel splits as Z^(r - rank of the free block) + ker(torsion block);
-    the free block rank takes every value up to min of the free ranks, and
-    torsion kernels are enumerated completely.
+    the free block rank takes every value up to min of the free ranks.  The
+    torsion kernels are exactly the subgroups K of the source torsion whose
+    quotient is isomorphic to a subgroup of the target (the map onto that
+    subgroup has kernel K), so every subgroup of the source torsion is tried.
     """
-    torsion_kernels = set()
-    src_orders, tgt_orders = source.torsion, target.torsion
-    elements = _elements(tgt_orders)
-    candidates = []
-    for d in src_orders:
-        candidates.append(
-            [e for e in elements if _scale(tgt_orders, d, e) == (0,) * len(tgt_orders)]
-        )
-    zero_t = (0,) * len(tgt_orders)
-    for assignment in product(*candidates):
-        kernel_elems = [
-            e for e in _elements(src_orders)
-            if _image_of(src_orders, tgt_orders, assignment, e) == zero_t
-        ]
-        torsion_kernels.add(_subgroup_type(src_orders, frozenset(kernel_elems)))
-    out = set()
-    for rk in range(min(source.free_rank, target.free_rank) + 1):
-        for t in torsion_kernels:
-            out.add(direct_sum(ZModule.free(source.free_rank - rk), t))
-    return frozenset(out)
-
-
-def _image_of(src_orders, tgt_orders, assignment, element):
-    out = (0,) * len(tgt_orders)
-    for coeff, gen_image in zip(element, assignment):
-        out = _add(tgt_orders, out, _scale(tgt_orders, coeff, gen_image))
-    return out
+    src = source.torsion
+    embeddable = subobject_types(target)
+    torsion_kernels = {
+        _subgroup_type(src, sub) for sub in _all_subgroups(src)
+        if _quotient_type(src, sub) in embeddable
+    }
+    return frozenset(
+        direct_sum(ZModule.free(source.free_rank - rk), t)
+        for rk in range(min(source.free_rank, target.free_rank) + 1)
+        for t in torsion_kernels
+    )
 
 
 @lru_cache(maxsize=None)
@@ -347,7 +324,6 @@ def cokernel_types(source: ZModule, target: ZModule,
     out = set()
     clipped = False
     tgt_orders = target.torsion
-    rel = IntMatrix.diagonal(tgt_orders) if tgt_orders else IntMatrix.zeros(0, 0)
     subgroups = _all_subgroups(tgt_orders)
     if target.free_rank == 0:
         for sub in subgroups:
@@ -356,6 +332,8 @@ def cokernel_types(source: ZModule, target: ZModule,
         return frozenset(out), clipped
     # target = Z + torsion, generators: torsion gens then the free one
     k = len(tgt_orders)
+    relations = [[o if i == j else 0 for i in range(k + 1)]
+                 for j, o in enumerate(tgt_orders)]
     tsize = 1
     for d in tgt_orders:
         tsize *= d
@@ -379,21 +357,12 @@ def cokernel_types(source: ZModule, target: ZModule,
             for rep in _coset_reps(tgt_orders, sub):
                 cols = [list(rep) + [d]]
                 cols.extend(list(e) + [0] for e in sorted(sub))
-                gens_matrix = IntMatrix.from_columns(cols, rows=k + 1)
-                rel_full = vstack_pad(rel, k + 1)
-                q = zmodules.from_presentation(hstack(gens_matrix, rel_full))
+                q = zmodules.from_presentation(
+                    IntMatrix.from_columns(cols + relations, rows=k + 1))
                 if q in universe:
                     out.add(q)
             d += 1
     return frozenset(out), clipped
-
-
-def vstack_pad(rel: IntMatrix, rows: int) -> IntMatrix:
-    """Extend a relations block with zero rows for trailing free generators."""
-    data = [list(r) for r in rel.data]
-    while len(data) < rows:
-        data.append([0] * rel.cols)
-    return IntMatrix(data, rows=rows, cols=rel.cols)
 
 
 def _coset_reps(orders, subgroup) -> list:
@@ -523,6 +492,43 @@ def extension_types(sub: ZModule, quotient: ZModule) -> frozenset:
 # -- closures ---------------------------------------------------------------
 
 
+def _within(classes, universe: Universe) -> set:
+    return {t if t in universe else None for t in classes}
+
+
+def _cokernels(universe, source, target) -> frozenset:
+    types, clipped = cokernel_types(source, target, universe)
+    return types | {None} if clipped else types
+
+
+# kind -> (arity, result classes of one application).  Only sums, extensions
+# and the cokernel clip flag can leave the universe; None stands for such a
+# result.  Tables are looked up by name at call time.
+_OPERATIONS = {
+    "subobjects": (1, lambda u, m: subobject_types(m)),
+    "quotients": (1, lambda u, m: quotient_types(m, u)),
+    "summands": (1, lambda u, m: summand_types(m)),
+    "finite_sums": (2, lambda u, a, b: _within((direct_sum(a, b),), u)),
+    "extensions": (2, lambda u, a, c: _within(extension_types(a, c), u)),
+    "kernels": (2, lambda u, a, b: kernel_types(a, b)),
+    "cokernels": (2, _cokernels),
+    "images": (2, lambda u, a, b: image_types(a, b)),
+}
+
+
+def _applications(kind: str, members, universe: Universe, new):
+    """(inputs, result) for every application of one operation to `members`
+    that has an input in `new`: inputs in the order of `members`, the
+    results of one application in str order."""
+    if kind not in _OPERATIONS:
+        raise ValueError(f"unknown closure kind {kind!r}")
+    arity, apply = _OPERATIONS[kind]
+    for inputs in product(members, repeat=arity):
+        if any(m in new for m in inputs):
+            for result in sorted(apply(universe, *inputs), key=str):
+                yield inputs, result
+
+
 @dataclass(frozen=True)
 class ClosureResult:
     members: frozenset
@@ -537,7 +543,9 @@ def close(generators, kinds, universe: Universe,
 
     The zero module is always included: every subcategory described here is
     nonempty and replete.  The clip flag reports that some exactly-computed
-    operation result fell outside the universe and was discarded.
+    operation result fell outside the universe and was discarded.  Each
+    iteration applies the operations only to inputs that include a class
+    added by the iteration before; the other applications were made already.
     """
     kinds = frozenset(kinds)
     unknown = kinds - set(CLOSURE_KINDS)
@@ -550,55 +558,19 @@ def close(generators, kinds, universe: Universe,
         current.add(g)
     clipped = False
     iterations = 0
-    changed = True
-    while changed:
+    fresh = set(current)
+    while fresh:
         iterations += 1
         if iterations > max_iterations:
             raise OracleCapError("closure fixed point exceeded the iteration cap")
         produced = set()
-        snapshot = sorted(current, key=lambda m: (m.free_rank, m.torsion))
         for kind in kinds:
-            if kind == "subobjects":
-                for m in snapshot:
-                    produced |= subobject_types(m)
-            elif kind == "quotients":
-                for m in snapshot:
-                    produced |= quotient_types(m, universe)
-            elif kind == "summands":
-                for m in snapshot:
-                    produced |= summand_types(m)
-            elif kind == "finite_sums":
-                for a in snapshot:
-                    for b in snapshot:
-                        s = direct_sum(a, b)
-                        if s in universe:
-                            produced.add(s)
-                        else:
-                            clipped = True
-            elif kind == "extensions":
-                for a in snapshot:
-                    for c in snapshot:
-                        for mid in extension_types(a, c):
-                            if mid in universe:
-                                produced.add(mid)
-                            else:
-                                clipped = True
-            elif kind == "kernels":
-                for a in snapshot:
-                    for b in snapshot:
-                        produced |= kernel_types(a, b)
-            elif kind == "cokernels":
-                for a in snapshot:
-                    for b in snapshot:
-                        types, over = cokernel_types(a, b, universe)
-                        produced |= types
-                        clipped |= over
-            elif kind == "images":
-                for a in snapshot:
-                    for b in snapshot:
-                        produced |= image_types(a, b)
+            for _, result in _applications(kind, current, universe, fresh):
+                if result is None:
+                    clipped = True
+                else:
+                    produced.add(result)
         fresh = produced - current
-        changed = bool(fresh)
         current |= fresh
     return ClosureResult(frozenset(current), clipped, iterations)
 
@@ -607,58 +579,14 @@ def check_closed(subset, kind: str, universe: Universe):
     """Verify closure of `subset` under one operation, within the universe.
 
     Returns (True, None) or (False, counterexample) where the counterexample
-    names the inputs and the escaping module class.
+    names the inputs and the escaping module class: the first one met with
+    inputs in (free_rank, torsion) order and results in str order.
     """
     subset = frozenset(subset)
     ordered = sorted(subset, key=lambda m: (m.free_rank, m.torsion))
-    if kind == "subobjects":
-        for m in ordered:
-            for t in sorted(subobject_types(m), key=str):
-                if t not in subset:
-                    return False, ((m,), t)
-    elif kind == "quotients":
-        for m in ordered:
-            for t in sorted(quotient_types(m, universe), key=str):
-                if t not in subset:
-                    return False, ((m,), t)
-    elif kind == "summands":
-        for m in ordered:
-            for t in sorted(summand_types(m), key=str):
-                if t not in subset:
-                    return False, ((m,), t)
-    elif kind == "finite_sums":
-        for a in ordered:
-            for b in ordered:
-                s = direct_sum(a, b)
-                if s in universe and s not in subset:
-                    return False, ((a, b), s)
-    elif kind == "extensions":
-        for a in ordered:
-            for c in ordered:
-                for t in sorted(extension_types(a, c), key=str):
-                    if t in universe and t not in subset:
-                        return False, ((a, c), t)
-    elif kind == "kernels":
-        for a in ordered:
-            for b in ordered:
-                for t in sorted(kernel_types(a, b), key=str):
-                    if t not in subset:
-                        return False, ((a, b), t)
-    elif kind == "cokernels":
-        for a in ordered:
-            for b in ordered:
-                types, _ = cokernel_types(a, b, universe)
-                for t in sorted(types, key=str):
-                    if t not in subset:
-                        return False, ((a, b), t)
-    elif kind == "images":
-        for a in ordered:
-            for b in ordered:
-                for t in sorted(image_types(a, b), key=str):
-                    if t not in subset:
-                        return False, ((a, b), t)
-    else:
-        raise ValueError(f"unknown closure kind {kind!r}")
+    for inputs, result in _applications(kind, ordered, universe, subset):
+        if result is not None and result not in subset:
+            return False, (inputs, result)
     return True, None
 
 

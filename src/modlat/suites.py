@@ -176,56 +176,50 @@ def generator_sets(universe: Universe, max_size: int = 2):
     return out
 
 
-def serre_closure_suite(universe: Universe = ACCEPTANCE_UNIVERSE,
-                        seed: int = 0, max_size: int = 2) -> SuiteReport:
-    """Oracle closure under subobjects/quotients/extensions/sums equals the
-    support criterion set, for every generator set up to the given size."""
-    kinds = {"subobjects", "quotients", "extensions", "finite_sums"}
+def _closure_check(universe: Universe, max_size: int, kinds, criterion,
+                   what: str) -> CheckOutcome:
+    """Oracle closure of every generator set up to the given size against
+    the set that `criterion(gens, universe)` describes."""
     failures = []
     count = 0
     for gens in generator_sets(universe, max_size):
         count += 1
         result = oracle.close(gens, kinds, universe)
-        expected = _supp_criterion_set(gens, universe)
+        expected = criterion(gens, universe)
         if result.members != expected:
             missing = sorted(expected - result.members, key=str)
             extra = sorted(result.members - expected, key=str)
             failures.append(
                 f"gens={[str(g) for g in gens]}: missing={missing} extra={extra}")
-    checks = (CheckOutcome(
-        f"{count} generator sets: closure matches the support criterion exactly",
-        not failures, "; ".join(failures[:3])),)
-    return SuiteReport("serre-closure", seed, checks)
+    return CheckOutcome(f"{count} generator sets: closure matches {what}",
+                        not failures, "; ".join(failures[:3]))
+
+
+def serre_closure_suite(universe: Universe = ACCEPTANCE_UNIVERSE,
+                        seed: int = 0, max_size: int = 2) -> SuiteReport:
+    """Oracle closure under subobjects/quotients/extensions/sums equals the
+    support criterion set, for every generator set up to the given size."""
+    kinds = {"subobjects", "quotients", "extensions", "finite_sums"}
+    check = _closure_check(universe, max_size, kinds, _supp_criterion_set,
+                           "the support criterion exactly")
+    return SuiteReport("serre-closure", seed, (check,))
 
 
 def subext_closure_suite(universe: Universe = ACCEPTANCE_UNIVERSE,
                          seed: int = 0, max_size: int = 2) -> SuiteReport:
     """Oracle closure under subobjects/extensions equals the associated-primes
     criterion set, plus the discriminating free-generator probe."""
-    kinds = {"subobjects", "extensions"}
-    failures = []
-    count = 0
-    for gens in generator_sets(universe, max_size):
-        count += 1
-        result = oracle.close(gens, kinds, universe)
-        expected = _ass_criterion_set(gens, universe)
-        if result.members != expected:
-            missing = sorted(expected - result.members, key=str)
-            extra = sorted(result.members - expected, key=str)
-            failures.append(
-                f"gens={[str(g) for g in gens]}: missing={missing} extra={extra}")
-    checks = [CheckOutcome(
-        f"{count} generator sets: closure matches the associated-primes criterion",
-        not failures, "; ".join(failures[:3]))]
+    check = _closure_check(universe, max_size, {"subobjects", "extensions"},
+                           _ass_criterion_set, "the associated-primes criterion")
     probe_serre = generated_member(ZModule.cyclic(2), [ZModule.free(1)],
                                    ClosureKind.SERRE)
     probe_subext = generated_member(ZModule.cyclic(2), [ZModule.free(1)],
                                     ClosureKind.SUBEXT)
-    checks.append(CheckOutcome(
+    probe = CheckOutcome(
         "Z/2 lies in the Serre closure of Z but not in its sub+ext closure",
         probe_serre and not probe_subext,
-        f"serre={probe_serre} subext={probe_subext}"))
-    return SuiteReport("subext-closure", seed, tuple(checks))
+        f"serre={probe_serre} subext={probe_subext}")
+    return SuiteReport("subext-closure", seed, (check, probe))
 
 
 def coherent_closure_suite(universe: Universe = ACCEPTANCE_UNIVERSE,

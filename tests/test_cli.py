@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from modlat.cli import main
 
 
@@ -67,6 +69,24 @@ def test_koszul_command(capsys):
     assert payload["homology"]["1"] == "Z/2"
 
 
+def test_koszul_reduces_each_differential_once(capsys, monkeypatch):
+    from modlat import complexes
+
+    calls = []
+    original = complexes.smith_diagonal
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(complexes, "smith_diagonal", counted)
+    code, payload = run_json(capsys, "koszul", "2,4")
+    assert code == 0
+    assert payload["support"] == {"literal": "closure{(2)}", "members": ["(2)"]}
+    # homology in degrees 0..2 reads four differentials, each reduced once
+    assert len(calls) == 4
+
+
 def test_classify_member(capsys):
     code, payload = run_json(
         capsys, "classify", "member", "--kind", "serre",
@@ -103,6 +123,35 @@ def test_oracle_close(capsys):
     assert code == 0
     assert "Z/8" in payload["closure"]
     assert payload["clipped"] is True
+
+
+_ORACLE_CLOSE_PINNED = {
+    "sub,quot,ext,sums": (
+        ["extensions", "finite_sums", "quotients", "subobjects"], 4),
+    "sub,ext": (["extensions", "subobjects"], 1),
+    "ker,coker,ext,sums": (
+        ["cokernels", "extensions", "finite_sums", "kernels"], 4),
+}
+_SERRE_CLOSURE_OF_Z = [
+    "0", "Z", "Z + Z/2", "Z + Z/2 + Z/2", "Z + Z/3", "Z + Z/3 + Z/3",
+    "Z + Z/6", "Z/2", "Z/2 + Z/2", "Z/3", "Z/3 + Z/3", "Z/6"]
+
+
+@pytest.mark.parametrize("kinds", sorted(_ORACLE_CLOSE_PINNED))
+def test_oracle_close_output_pinned(capsys, kinds):
+    names, iterations = _ORACLE_CLOSE_PINNED[kinds]
+    expected = {
+        "clipped": True,
+        "closure": ["0", "Z"] if kinds == "sub,ext" else _SERRE_CLOSURE_OF_Z,
+        "generators": ["Z"],
+        "iterations": iterations,
+        "kinds": names,
+        "universe_size": 12,
+    }
+    code, out = run(capsys, "oracle", "close", "--gens", "Z", "--kinds", kinds,
+                    "--primes", "2,3", "--max-exp", "1")
+    assert code == 0
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_oracle_derive(capsys):

@@ -21,7 +21,6 @@ from modlat.oracle import (
     check_closed,
     close,
     derive_submodule,
-    enumerate_universe,
     extension_types,
     image_types,
     kernel_types,
@@ -40,11 +39,11 @@ ACCEPT = Universe(primes=(2, 3), max_exponent=2, max_rank=1, max_torsion_factors
 
 def test_universe_enumeration_examples():
     u = Universe(primes=(2,), max_exponent=1, max_rank=0, max_torsion_factors=1)
-    assert [str(m) for m in enumerate_universe(u)] == ["0", "Z/2"]
+    assert [str(m) for m in u.members()] == ["0", "Z/2"]
     u = Universe(primes=(2,), max_exponent=2, max_rank=0, max_torsion_factors=1)
-    assert [str(m) for m in enumerate_universe(u)] == ["0", "Z/2", "Z/4"]
+    assert [str(m) for m in u.members()] == ["0", "Z/2", "Z/4"]
     u = Universe(primes=(2,), max_exponent=1, max_rank=1, max_torsion_factors=1)
-    assert set(enumerate_universe(u)) == {
+    assert set(u.members()) == {
         ZModule.zero(), ZModule.cyclic(2), ZModule.free(1),
         ZModule.from_cyclic_orders(1, [2])}
 
@@ -59,9 +58,8 @@ def test_universe_membership():
 
 def test_universe_cap():
     with pytest.raises(OracleCapError):
-        enumerate_universe(Universe(primes=(2, 3, 5, 7), max_exponent=4,
-                                    max_rank=2, max_torsion_factors=4,
-                                    class_cap=100))
+        Universe(primes=(2, 3, 5, 7), max_exponent=4, max_rank=2,
+                 max_torsion_factors=4, class_cap=100).members()
 
 
 def test_subobject_types_examples():
@@ -215,6 +213,17 @@ def test_close_examples():
         close([], {"frobnicate"}, u2)
 
 
+def test_close_clip_flag_from_cokernels():
+    u = Universe(primes=(2,), max_exponent=1, max_rank=1, max_torsion_factors=1)
+    # Z/4, Z/8, ... are cokernels of Z -> Z outside the universe
+    result = close([ZModule.free(1)], {"cokernels"}, u)
+    assert result == ClosureResult(
+        frozenset({ZModule.zero(), ZModule.free(1), ZModule.cyclic(2)}), True, 2)
+    result = close([ZModule.free(1)], {"subobjects", "kernels", "images"}, u)
+    assert result == ClosureResult(
+        frozenset({ZModule.zero(), ZModule.free(1)}), False, 1)
+
+
 def test_close_soundness_sandwich():
     # every member of a closure satisfies the support criterion of the
     # generators, whatever the operation set contains beyond the core four
@@ -302,7 +311,8 @@ def test_operation_tables_match_explicit_map_enumeration():
     from modlat.zmodules import cokernel, image, kernel
 
     pool = [ZModule.zero(), ZModule.cyclic(2), ZModule.cyclic(4),
-            ZModule.cyclic(6), ZModule.from_cyclic_orders(0, [2, 2])]
+            ZModule.cyclic(6), ZModule.from_cyclic_orders(0, [2, 2]),
+            ZModule.cyclic(3), ZModule.from_cyclic_orders(0, [2, 6])]
     for m in pool:
         for n in pool:
             kernels, cokers, images = set(), set(), set()
@@ -339,6 +349,46 @@ def test_check_closed_counterexample():
     assert escaped == ZModule.cyclic(2)
     ok, _ = check_closed({ZModule.zero()}, "subobjects", SMALL)
     assert ok
+
+
+# kind: (subset not closed, its first counterexample, a closed subset).
+# The closed sums and extensions sets have results outside the universe,
+# and so has the cokernel of Z -> Z; those results are skipped.
+CHECK_CLOSED_CASES = {
+    "subobjects": (("0", "Z + Z/4"), (("Z + Z/4",), "Z"),
+                   ("0", "Z", "Z/2", "Z/4", "Z + Z/2", "Z + Z/4")),
+    "quotients": (("0", "Z"), (("Z",), "Z/2"), ("0", "Z/2", "Z/4")),
+    "summands": (("0", "Z + Z/2"), (("Z + Z/2",), "Z"),
+                 ("0", "Z", "Z/2", "Z + Z/2")),
+    "finite_sums": (("0", "Z/2"), (("Z/2", "Z/2"), "Z/2 + Z/2"),
+                    ("0", "Z/2", "Z/2 + Z/2")),
+    "extensions": (("0", "Z/2", "Z/2 + Z/2"), (("Z/2", "Z/2"), "Z/4"),
+                   ("0", "Z")),
+    "kernels": (("0", "Z/2 + Z/4"), (("Z/2 + Z/4", "Z/2 + Z/4"), "Z/2"),
+                ("0", "Z")),
+    "cokernels": (("0", "Z"), (("Z", "Z"), "Z/2"), ("0", "Z", "Z/2", "Z/4")),
+    "images": (("0", "Z/4"), (("Z/4", "Z/4"), "Z/2"),
+               ("0", "Z", "Z/2", "Z/4")),
+}
+
+
+@pytest.mark.parametrize("kind", oracle.CLOSURE_KINDS)
+def test_check_closed_every_kind(kind):
+    from modlat.literals import parse_zmodule
+
+    not_closed, (inputs, escaped), closed = CHECK_CLOSED_CASES[kind]
+    ok, counter = check_closed({parse_zmodule(m) for m in not_closed}, kind, SMALL)
+    assert not ok
+    assert counter == (tuple(parse_zmodule(m) for m in inputs),
+                       parse_zmodule(escaped))
+    assert check_closed({parse_zmodule(m) for m in closed}, kind, SMALL) == (
+        True, None)
+
+
+def test_check_closed_unknown_kind():
+    for subset in (set(), {ZModule.zero()}):
+        with pytest.raises(ValueError):
+            check_closed(subset, "frobnicate", SMALL)
 
 
 def test_subgroup_type_examples():
