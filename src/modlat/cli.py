@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import classify, complexes, oracle, suites, zmodules
 from .classify import ClosureKind, SuiteReport
@@ -29,6 +30,13 @@ from .oracle import OracleCapError, Universe
 from .spectrum import PrimeId, Z_BACKEND, monomial_backend
 
 KIND_BY_NAME = {k.value: k for k in ClosureKind}
+# Input caps, checked before any work.  A length-r Koszul sequence builds
+# differentials of up to C(r, r/2) rows, and past length 9 each extra term
+# makes the table about eight times slower.  A full Smith form keeps
+# unreduced transforms: dense 20x20 matrices with entries in [-9, 9] took
+# up to a second.
+KOSZUL_MAX_LENGTH = 8
+SNF_MAX_DIM = 20
 
 
 def _backend_from_args(args) -> tuple:
@@ -90,6 +98,9 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
 
 def cmd_snf(args) -> tuple[int, dict]:
     matrix = parse_int_matrix(args.matrix)
+    if max(matrix.rows, matrix.cols) > SNF_MAX_DIM:
+        raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, "
+                         f"cap is {SNF_MAX_DIM} rows and columns")
     dec = snf(matrix)
     return 0, {
         "input": matrix.to_lists(),
@@ -161,6 +172,9 @@ def cmd_koszul(args) -> tuple[int, dict]:
         raise LiteralError(args.sequence, 0, "a comma list of integers") from exc
     if not gens:
         raise LiteralError(args.sequence, 0, "a nonempty integer list")
+    if len(gens) > KOSZUL_MAX_LENGTH:
+        raise ValueError(f"sequence has {len(gens)} terms, "
+                         f"cap is {KOSZUL_MAX_LENGTH}")
     complex_ = complexes.koszul_complex(gens)
     table = complexes.homology_table(complex_)
     return 0, {
@@ -293,7 +307,9 @@ def cmd_suite(args) -> tuple[int, dict]:
 # -- parser -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="modlat",
         description="Decision procedures for module subcategories over the "

@@ -106,7 +106,9 @@ class PrimeId:
 
     def contained_in(self, other: "PrimeId") -> bool:
         """Ideal containment self <= other (specialization order)."""
-        if self.backend != other.backend:
+        monomial = self.kind == "monomial"
+        if monomial != (other.kind == "monomial") or (
+                monomial and self.context != other.context):
             raise ValueError("primes from different backends")
         if self.kind == "z_generic":
             return True
@@ -236,14 +238,18 @@ class SpecSubset:
         return prime in self.generators
 
     def leq(self, other: "SpecSubset") -> bool:
+        """Inclusion of denoted sets, read from the generators except when
+        self is closed and other explicit."""
         if self.backend != other.backend:
             raise ValueError("backend mismatch")
-        da, db = self._denotation(), other._denotation()
-        if db == ("all",):
-            return True
-        if da == ("all",):
-            return False
-        return da <= db
+        if other.closed:
+            # each point of self, closed or not, lies in some V(h) of other
+            return all(any(h.contained_in(g) for h in other.generators)
+                       for g in self.generators)
+        if not self.closed:
+            return self.generators <= other.generators
+        da = self._denotation()
+        return da != ("all",) and da <= other.generators
 
     def join(self, other: "SpecSubset") -> "SpecSubset":
         if self.backend != other.backend:
@@ -273,20 +279,17 @@ class SpecSubset:
         return SpecSubset(self.backend, common, False)
 
     def is_specialization_closed(self) -> bool:
-        den = self._denotation()
-        if den == ("all",):
+        if self.closed:
             return True
         if self.backend == Z_BACKEND:
             # A finite set of primes of Z is closed exactly when it avoids
             # the generic point (whose closure is everything).
-            return all(p.kind != "z_generic" for p in den)
-        universe = all_monomial_primes(self.backend[1])
-        return all(
-            q in den
-            for p in den
-            for q in universe
-            if p.contained_in(q)
-        )
+            return all(p.kind != "z_generic" for p in self.generators)
+        # Monomial primes form a boolean lattice, so a set is upward closed
+        # when adding any one variable to a member gives a member.
+        varsets = {p.vars for p in self.generators}
+        return all(vs | {v} in varsets
+                   for vs in varsets for v in self.backend[1])
 
     def sorted_members(self) -> list:
         return sorted(self.members(), key=PrimeId.sort_key)

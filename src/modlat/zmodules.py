@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .intlinalg import (
@@ -31,6 +32,14 @@ INFINITY = math.inf
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 by trial division (desk scale)."""
+    return dict(_prime_powers(n))
+
+
+# The oracle canonicalizes sums and tests universe membership over the same
+# few torsion orders millions of times; the bound keeps a long-lived process
+# from growing without limit.
+@lru_cache(maxsize=1024)
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -42,7 +51,7 @@ def factorize(n: int) -> dict[int, int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+    return tuple(out.items())
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:

@@ -1,6 +1,10 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -219,3 +223,113 @@ def test_gens_split_at_top_level_commas(capsys):
     assert code == 0
     assert payload["member"] is False
 
+
+
+# -- input caps ---------------------------------------------------------------
+
+
+def _refused(capsys, monkeypatch, target, name, *argv):
+    """Run argv with `target.name` made to fail; the cap must refuse first."""
+    def never(*args, **kwargs):
+        raise AssertionError(f"{name} ran on a refused input")
+
+    monkeypatch.setattr(target, name, never)
+    start = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "cap" in lines[0]
+    assert elapsed < 1.0
+    return lines[0]
+
+
+def test_koszul_length_cap(capsys, monkeypatch):
+    from modlat import cli, complexes
+
+    line = _refused(capsys, monkeypatch, complexes, "koszul_complex",
+                    "koszul", ",".join(["3"] * 40))
+    assert line == f"error: sequence has 40 terms, cap is {cli.KOSZUL_MAX_LENGTH}"
+    _refused(capsys, monkeypatch, complexes, "koszul_complex",
+             "koszul", ",".join(["3"] * (cli.KOSZUL_MAX_LENGTH + 1)))
+    monkeypatch.undo()
+    # the longest admitted sequence, the length-8 case that once ran for minutes
+    code, payload = run_json(capsys, "koszul", "39,57,58,26,34,15,20,27")
+    assert code == 0
+    # the entries are coprime, so the complex is exact
+    assert set(payload["homology"].values()) == {"0"}
+
+
+def test_snf_size_cap(capsys, monkeypatch):
+    from modlat import cli
+
+    big = json.dumps([[1] * 200 for _ in range(200)])
+    line = _refused(capsys, monkeypatch, cli, "snf", "snf", big)
+    assert line == f"error: matrix is 200x200, cap is {cli.SNF_MAX_DIM} rows and columns"
+    wide = json.dumps([[1] * (cli.SNF_MAX_DIM + 1)])
+    _refused(capsys, monkeypatch, cli, "snf", "snf", wide)
+    _refused(capsys, monkeypatch, cli, "snf", "snf",
+             json.dumps([[1]] * (cli.SNF_MAX_DIM + 1)))
+    monkeypatch.undo()
+    for shape in ([[1] * cli.SNF_MAX_DIM], [[1]] * cli.SNF_MAX_DIM):
+        code, payload = run_json(capsys, "snf", json.dumps(shape))
+        assert code == 0
+        assert payload["d"][0][0] == 1
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def _fresh_process(*argv):
+    """Exit code and stdout of `python -m modlat.cli argv` in a new interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-m", "modlat.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout
+
+
+def test_parser_built_once():
+    from modlat.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_text_then_json(capsys):
+    code, out = run(capsys, "--format", "text", "module", "Z/6")
+    assert code == 0 and out.startswith("canonical: Z/6\n")
+    code, out = run(capsys, "module", "Z/6")
+    assert code == 0
+    assert json.loads(out)["canonical"] == "Z/6"
+    assert out == _fresh_process("module", "Z/6")[1]
+
+
+def test_cached_parser_gens_then_criterion(capsys):
+    code, payload = run_json(capsys, "classify", "member", "--kind", "serre",
+                             "--gens", "Z/2", "--module", "Z/4")
+    assert code == 0 and payload["generators"] == ["Z/2"]
+    argv = ("classify", "member", "--kind", "serre",
+            "--criterion", "closure{(3)}", "--module", "Z/4")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert "generators" not in payload
+    assert payload["criterion"] == "closure{(3)}" and payload["member"] is False
+    assert (code, out) == _fresh_process(*argv)
+
+
+def test_cached_parser_after_usage_error(capsys):
+    code, _ = run(capsys, "classify", "member", "--kind", "serre",
+                  "--gens", "Z/2", "--criterion", "closure{(2)}", "--module", "Z/4")
+    assert code == 2
+    code, _ = run(capsys, "koszul")
+    assert code == 2
+    argv = ("classify", "member", "--backend", "monomial", "--vars", "x,y,z",
+            "--kind", "coherent", "--criterion", "closure{(x),(y,z)}",
+            "--module", "R/(x*y, x*z)")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert (code, out) == _fresh_process(*argv)

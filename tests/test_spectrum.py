@@ -176,3 +176,106 @@ def test_sorting_and_strings():
     assert str(mono([])) == "(0)"
     s = SpecSubset.closure([zp(3), zp(2)])
     assert str(s) == "closure{(2),(3)}"
+
+
+# -- leq and is_specialization_closed against a denotation reference ---------
+
+
+def _reference_denotation(subset, universe):
+    """Denoted set of variable sets (monomial) or of primes (Z), or "all"."""
+    if subset.backend == Z_BACKEND:
+        if subset.closed and PrimeId.z_generic() in subset.generators:
+            return "all"
+        return frozenset(subset.generators)
+    if not subset.closed:
+        return frozenset(p.vars for p in subset.generators)
+    return frozenset(q.vars for q in universe
+                     if any(g.vars <= q.vars for g in subset.generators))
+
+
+def _reference_leq(da, db):
+    if db == "all":
+        return True
+    return da != "all" and da <= db
+
+
+def _reference_closed(den, universe, backend):
+    if den == "all":
+        return True
+    if backend == Z_BACKEND:
+        return PrimeId.z_generic() not in den
+    return all(q.vars in den for q in universe
+               for vs in den if vs <= q.vars)
+
+
+def _check_against_reference(subsets, universe):
+    dens = [_reference_denotation(s, universe) for s in subsets]
+    for s, den in zip(subsets, dens):
+        assert s.is_specialization_closed() == _reference_closed(
+            den, universe, s.backend), s
+    for a, da in zip(subsets, dens):
+        for b, db in zip(subsets, dens):
+            assert a.leq(b) == _reference_leq(da, db), (a, b)
+
+
+def _antichains(primes):
+    """Every antichain of the given primes under containment."""
+    out = [()]
+    for p in primes:
+        out += [chain + (p,) for chain in out
+                if not any(q.vars <= p.vars or p.vars <= q.vars for q in chain)]
+    return out
+
+
+def test_leq_and_closedness_exhaustive_three_variables():
+    context = ("a", "b", "c")
+    primes = all_monomial_primes(context)
+    backend = monomial_backend(context)
+    explicit = [SpecSubset.explicit([p for i, p in enumerate(primes) if mask >> i & 1],
+                                    backend=backend)
+                for mask in range(2 ** len(primes))]
+    closed = [SpecSubset.closure(chain, backend=backend)
+              for chain in _antichains(primes)]
+    assert len(explicit) == 256 and len(closed) == 20
+    _check_against_reference(explicit + closed, primes)
+
+
+def test_leq_and_closedness_sampled_four_variables():
+    import random
+
+    context = ("a", "b", "c", "d")
+    primes = all_monomial_primes(context)
+    backend = monomial_backend(context)
+    rng = random.Random("leq-4")
+    subsets = []
+    for _ in range(80):
+        gens = rng.sample(primes, rng.randrange(0, 6))
+        subsets.append(SpecSubset.closure(gens, backend=backend))
+        cone = SpecSubset.closure(gens, backend=backend).members()
+        # upward closed sets, and the same with one member dropped
+        members = sorted(cone, key=PrimeId.sort_key)
+        subsets.append(SpecSubset.explicit(members, backend=backend))
+        if members:
+            members.pop(rng.randrange(len(members)))
+        subsets.append(SpecSubset.explicit(members, backend=backend))
+        subsets.append(SpecSubset.explicit(rng.sample(primes, rng.randrange(0, 17)),
+                                           backend=backend))
+    _check_against_reference(subsets, primes)
+
+
+def test_leq_and_closedness_integers():
+    pool = [PrimeId.z_generic(), zp(2), zp(3), zp(5)]
+    subsets = []
+    for mask in range(2 ** len(pool)):
+        gens = [p for i, p in enumerate(pool) if mask >> i & 1]
+        subsets.append(SpecSubset.explicit(gens, backend=Z_BACKEND))
+        subsets.append(SpecSubset.closure(gens, backend=Z_BACKEND))
+    _check_against_reference(subsets, pool)
+
+
+def test_containment_across_backends_rejected():
+    other = PrimeId.monomial(("x", "z"), ["x"])
+    for p, q in [(zp(2), mono(["x"])), (mono(["x"]), PrimeId.z_generic()),
+                 (mono(["x"]), other)]:
+        with pytest.raises(ValueError, match="different backends"):
+            p.contained_in(q)

@@ -378,3 +378,17 @@ def test_is_torsion_predicate():
     assert is_torsion(IdealZ(2), ZModule.cyclic(12)) is False
     assert is_torsion(IdealZ(12), ZModule.cyclic(12)) is True
     assert is_torsion(IdealZ(6), ZModule.from_cyclic_orders(0, [2, 6]))
+
+
+def test_factorize_cache_is_bounded_and_results_are_fresh():
+    from modlat import zmodules
+
+    first = zmodules.factorize(360)
+    assert first == {2: 3, 3: 2, 5: 1}
+    first[2] = 99
+    assert zmodules.factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert zmodules.factorize(1) == {}
+    assert zmodules.factorize(97) == {97: 1}
+    with pytest.raises(ValueError):
+        zmodules.factorize(0)
+    assert zmodules._prime_powers.cache_info().maxsize is not None
