@@ -293,7 +293,7 @@ def cmd_suite(args) -> tuple[int, dict]:
     if trials is not None and trials == 0:
         warning = "0 trials requested: randomized checks pass vacuously"
     reports = suites.run_all_suites(seed=args.seed, trials=trials,
-                                    only=args.only)
+                                    only=args.only, context=context)
     payload = {
         "seed": args.seed,
         "passed": all(r.passed for r in reports),

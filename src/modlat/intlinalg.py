@@ -11,7 +11,6 @@ subgroup arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -71,9 +70,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.data[i][j] for i in range(self.rows))
-
-    def columns(self) -> list[list[int]]:
-        return [list(self.column(j)) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
@@ -380,11 +376,16 @@ def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """Integer solution X of a @ X == b, or None when none exists."""
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
-    dec = snf(a)
+    return _solve_smith(snf(a), b)
+
+
+def _solve_smith(dec: SmithDecomposition, b: IntMatrix) -> IntMatrix | None:
+    """`solve(a, b)` given `dec = snf(a)`."""
+    rows, cols = dec.d.shape
     c = dec.u @ b
     diag = dec.diagonal()
-    y = [[0] * b.cols for _ in range(a.cols)]
-    for i in range(a.rows):
+    y = [[0] * b.cols for _ in range(cols)]
+    for i in range(rows):
         di = diag[i] if i < len(diag) else 0
         for j in range(b.cols):
             cij = c.data[i][j]
@@ -394,9 +395,9 @@ def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
             else:
                 if cij % di:
                     return None
-                if i < a.cols:
+                if i < cols:
                     y[i][j] = cij // di
-    return dec.v @ IntMatrix(y, rows=a.cols, cols=b.cols)
+    return dec.v @ IntMatrix(y, rows=cols, cols=b.cols)
 
 
 def column_basis(a: IntMatrix) -> IntMatrix:
@@ -449,27 +450,13 @@ def det(a: IntMatrix) -> int:
 
 
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix (exact Gauss-Jordan)."""
+    """Inverse of a unimodular integer matrix: U @ a @ V == I, so it is V @ U."""
     if a.rows != a.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = a.rows
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a.data)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    out = []
-    for row in work:
-        tail = row[n:]
-        if any(x.denominator != 1 for x in tail):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in tail])
-    return IntMatrix(out, rows=n, cols=n)
+    dec = snf(a)
+    diag = dec.diagonal()
+    if 0 in diag:
+        raise ValueError("matrix is singular")
+    if any(x != 1 for x in diag):
+        raise ValueError("matrix is not unimodular")
+    return dec.v @ dec.u

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .spectrum import (
-    DEFAULT_MAX_VARS,
     PrimeId,
     SpecSubset,
+    _check_context,
     minimal_variable_covers,
     monomial_backend,
     v_of_ideal,
@@ -75,9 +75,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return (0,) * len(self.context) in self.gens
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def contains_monomial(self, vec) -> bool:
         vec = tuple(vec)
         return any(_divides(g, vec) for g in self.gens)
@@ -134,13 +131,6 @@ class MonomialIdeal:
         return "(" + ", ".join(terms) + ")"
 
 
-def _check_context(ideal: MonomialIdeal, max_vars: int):
-    if len(ideal.context) > max_vars:
-        raise ValueError(
-            f"context has {len(ideal.context)} variables, cap is {max_vars}"
-        )
-
-
 @lru_cache(maxsize=None)
 def _decompose(ideal: MonomialIdeal) -> tuple:
     mixed = None
@@ -169,17 +159,15 @@ def _decompose(ideal: MonomialIdeal) -> tuple:
     return tuple(sorted(kept, key=lambda q: q.sorted_gens()))
 
 
-def irreducible_decomposition(
-    ideal: MonomialIdeal, max_vars: int = DEFAULT_MAX_VARS
-) -> tuple:
+def irreducible_decomposition(ideal: MonomialIdeal) -> tuple:
     """Irredundant decomposition into ideals generated by pure variable powers."""
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("decomposition is only defined for proper nonzero ideals")
-    _check_context(ideal, max_vars)
+    _check_context(ideal.context)
     return _decompose(ideal)
 
 
-def ass_cyclic(ideal: MonomialIdeal, max_vars: int = DEFAULT_MAX_VARS) -> frozenset:
+def ass_cyclic(ideal: MonomialIdeal) -> frozenset:
     """Associated primes of R/I: radicals of the irreducible components."""
     if ideal.is_unit():
         return frozenset()
@@ -187,7 +175,7 @@ def ass_cyclic(ideal: MonomialIdeal, max_vars: int = DEFAULT_MAX_VARS) -> frozen
         return frozenset({PrimeId.monomial(ideal.context, [])})
     return frozenset(
         PrimeId.monomial(ideal.context, {v for g in comp.gens for v in _support(g, ideal.context)})
-        for comp in irreducible_decomposition(ideal, max_vars)
+        for comp in irreducible_decomposition(ideal)
     )
 
 

@@ -19,23 +19,23 @@ what makes the universe-restricted fixed points meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import gcd
 
 from . import zmodules
 from .intlinalg import (
     IntMatrix,
+    _solve_smith,
     column_basis,
     hstack,
     invert_unimodular,
-    kernel_basis,
     snf,
-    solve,
 )
 from .zmodules import ZModule, ZModuleMap, direct_sum, presentation_matrix
 
 TORSION_ORDER_CAP = 2 ** 14
+CLOSE_MAX_ITERATIONS = 10_000
 CLOSURE_KINDS = (
     "subobjects",
     "quotients",
@@ -176,14 +176,7 @@ def _lift_columns(orders, elements) -> IntMatrix:
 
 @lru_cache(maxsize=None)
 def _subgroup_type(orders: tuple[int, ...], subgroup: frozenset) -> ZModule:
-    if not orders:
-        return ZModule.zero()
-    rel = IntMatrix.diagonal(orders)
-    lat = column_basis(hstack(_lift_columns(orders, sorted(subgroup)), rel))
-    x = solve(lat, rel)
-    if x is None:
-        raise AssertionError("relation lattice escaped the subgroup lattice")
-    return zmodules.from_presentation(x)
+    return subgroup_type(ZModule(0, orders), _lift_columns(orders, sorted(subgroup)))
 
 
 @lru_cache(maxsize=None)
@@ -536,8 +529,7 @@ class ClosureResult:
     iterations: int
 
 
-def close(generators, kinds, universe: Universe,
-          max_iterations: int = 10_000) -> ClosureResult:
+def close(generators, kinds, universe: Universe) -> ClosureResult:
     """Least subset of the universe containing the generators and stable
     under the chosen operations (restricted to the universe).
 
@@ -561,7 +553,7 @@ def close(generators, kinds, universe: Universe,
     fresh = set(current)
     while fresh:
         iterations += 1
-        if iterations > max_iterations:
+        if iterations > CLOSE_MAX_ITERATIONS:
             raise OracleCapError("closure fixed point exceeded the iteration cap")
         produced = set()
         for kind in kinds:
@@ -609,64 +601,68 @@ class _Subgroup:
         lattice = column_basis(hstack(gens, presentation_matrix(ambient)))
         return cls(ambient, lattice)
 
+    @cached_property
+    def _smith(self):
+        """Smith form of the lattice basis, which every solve against it reads."""
+        return snf(self.basis)
+
     def contains(self, column: IntMatrix) -> bool:
-        return solve(self.basis, column) is not None
+        return _solve_smith(self._smith, column) is not None
 
     def with_element(self, column: IntMatrix) -> "_Subgroup":
         return _Subgroup(
             self.ambient, column_basis(hstack(self.basis, column))
         )
 
-    def is_full(self) -> bool:
-        g = self.ambient.generator_count
-        return self.contains(IntMatrix.identity(g))
+    def step(self, x: IntMatrix, stage_gens: IntMatrix) -> tuple[int, list[int]]:
+        """The map from stage = subgroup + Z*x onto stage/subgroup.
 
-    def colon(self, column: IntMatrix) -> int:
-        """Nonnegative generator of {a : a * column lies in the subgroup}."""
-        ker = kernel_basis(hstack(column, self.basis))
+        Returns d >= 0 generating {a : a * x lies in the subgroup}, so that
+        stage/subgroup = Z/d, and the image a of each of the `stage_gens`
+        columns: v = (element of the subgroup) + a * x determines a modulo d.
+        Both read one Smith form of [x | basis]: the first row of its kernel
+        basis generates the colon ideal, and a solve gives the coefficients.
+        """
+        dec = snf(hstack(x, self.basis))
+        rank = sum(1 for v in dec.diagonal() if v)
         d = 0
-        for j in range(ker.cols):
-            d = gcd(d, ker.data[0][j])
-        return abs(d)
+        for v in dec.v.row(0)[rank:]:
+            d = gcd(d, v)
+        sol = _solve_smith(dec, stage_gens)
+        if sol is None:
+            raise AssertionError("stage generator escaped stage = below + Z*x")
+        return d, [a % d if d else a for a in sol.data[0]]
 
-    def module_type(self) -> ZModule:
-        return self.canonical_generators()[0]
+    def relations(self) -> IntMatrix:
+        """The ambient relations in lattice coordinates: a presentation of
+        the subgroup on the lattice basis."""
+        x = _solve_smith(self._smith, presentation_matrix(self.ambient))
+        if x is None:
+            raise AssertionError("ambient relations escaped the subgroup lattice")
+        return x
 
     def canonical_generators(self):
         """Canonical form plus matching generator columns in ambient coordinates.
 
-        Returned generators follow the module convention: torsion generators
-        ascending, then free generators.
+        The generators follow the module convention: torsion generators
+        ascending, then free generators.  The Smith diagonal already runs in
+        that order (nonunit factors ascending, zeros last), so they are the
+        columns of U^-1 whose factor is not 1.
         """
-        rel = presentation_matrix(self.ambient)
-        x = solve(self.basis, rel)
-        if x is None:
-            raise AssertionError("ambient relations escaped the subgroup lattice")
+        x = self.relations()
         dec = snf(x)
         u_inv = invert_unimodular(dec.u)
-        diag = dec.diagonal()
-        t = x.rows
-        torsion_cols = []
-        free_cols = []
-        for i in range(t):
-            d = diag[i] if i < len(diag) else 0
-            col = IntMatrix.from_columns([u_inv.column(i)], rows=t)
-            if d == 1:
-                continue
-            if d == 0:
-                free_cols.append(col)
-            else:
-                torsion_cols.append((d, col))
-        torsion_cols.sort(key=lambda pair: pair[0])
-        module = ZModule(len(free_cols), tuple(d for d, _ in torsion_cols))
-        columns = [self.basis @ col for _, col in torsion_cols]
-        columns += [self.basis @ col for col in free_cols]
-        return module, columns
+        diag = dec.diagonal() + (0,) * (x.rows - min(x.shape))
+        keep = [i for i, d in enumerate(diag) if d != 1]
+        module = ZModule(diag.count(0), tuple(d for d in diag if d > 1))
+        gens = IntMatrix.from_columns([u_inv.column(i) for i in keep], rows=x.rows)
+        return module, self.basis @ gens
 
 
 def subgroup_type(ambient: ZModule, gens: IntMatrix) -> ZModule:
     """Isomorphism class of the subgroup generated by the given elements."""
-    return _Subgroup.from_generators(ambient, gens).module_type()
+    return zmodules.from_presentation(
+        _Subgroup.from_generators(ambient, gens).relations())
 
 
 @dataclass(frozen=True)
@@ -740,29 +736,25 @@ def derive_submodule(ambient: ZModule, gens: IntMatrix) -> DerivationTrace:
     sub = _Subgroup.from_generators(ambient, gens)
     g = ambient.generator_count
 
+    # A generator, once in, stays in, so one pass over the generators adds
+    # at each stage the first one still missing.
     chain: list[tuple[_Subgroup, IntMatrix | None]] = [(sub, None)]
-    current = sub
-    while not current.is_full():
-        x = None
-        for i in range(g):
-            col = IntMatrix.from_columns(
-                [[1 if r == i else 0 for r in range(g)]], rows=g
-            )
-            if not current.contains(col):
-                x = col
-                break
-        if x is None:
-            raise AssertionError("proper subgroup contains every generator")
-        current = current.with_element(x)
-        chain.append((current, x))
+    for i in range(g):
+        x = IntMatrix.from_columns([[1 if r == i else 0 for r in range(g)]], rows=g)
+        if not chain[-1][0].contains(x):
+            chain.append((chain[-1][0].with_element(x), x))
+    # Each stage's canonical form is computed once, and its class is also the
+    # result of the kernel step that derives the stage below from it.  Of
+    # the subgroup itself only the class is needed.
+    forms = [stage.canonical_generators() for stage, _ in chain[1:]]
 
     steps = [TraceStep("start", (), None, ambient)]
     current_idx = 0
     for pos in range(len(chain) - 1, 0, -1):
-        stage, x = chain[pos]
-        below, _ = chain[pos - 1]
-        stage_type, stage_gens = stage.canonical_generators()
-        d = below.colon(x)
+        x = chain[pos][1]
+        below = chain[pos - 1][0]
+        stage_type, stage_gens = forms[pos - 1]
+        d, coeffs = below.step(x, stage_gens)
         if d == 0:
             # stage/below is infinite cyclic: extract a free summand
             kill = stage_type.generator_count - 1
@@ -783,9 +775,9 @@ def derive_submodule(ambient: ZModule, gens: IntMatrix) -> DerivationTrace:
                     "summand", (len(steps) - 1,), _killing_endo(q, kill), quotient_type
                 ))
                 quotient_idx = len(steps) - 1
-        coeffs = _projection_coefficients(below, x, stage_gens, d)
         pi = IntMatrix([coeffs], rows=1, cols=stage_type.generator_count)
-        below_type = below.module_type()
+        below_type = (forms[pos - 2][0] if pos > 1
+                      else zmodules.from_presentation(below.relations()))
         steps.append(TraceStep(
             "kernel", (current_idx, quotient_idx), pi, below_type
         ))
@@ -797,18 +789,3 @@ def _killing_endo(module: ZModule, index: int) -> IntMatrix:
     g = module.generator_count
     rows = [[1 if (i == j and i != index) else 0 for j in range(g)] for i in range(g)]
     return IntMatrix(rows, rows=g, cols=g)
-
-
-def _projection_coefficients(below: _Subgroup, x: IntMatrix, stage_gens, d: int):
-    """Coefficients of the map onto stage/below = Z/d (or Z when d = 0),
-    evaluated on the stage's canonical generators: v = (element of below)
-    + a * x determines a modulo d."""
-    system = hstack(x, below.basis)
-    coeffs = []
-    for col in stage_gens:
-        sol = solve(system, col)
-        if sol is None:
-            raise AssertionError("stage generator escaped stage = below + Z*x")
-        a = sol.data[0][0]
-        coeffs.append(a % d if d else a)
-    return coeffs

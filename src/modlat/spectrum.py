@@ -133,10 +133,14 @@ class PrimeId:
         return "(" + ",".join(sorted(self.vars)) + ")"
 
 
-def all_monomial_primes(context, max_vars: int = DEFAULT_MAX_VARS) -> tuple:
+def _check_context(context):
+    if len(context) > DEFAULT_MAX_VARS:
+        raise ValueError(f"context has {len(context)} variables, cap is {DEFAULT_MAX_VARS}")
+
+
+def all_monomial_primes(context) -> tuple:
     context = tuple(context)
-    if len(context) > max_vars:
-        raise ValueError(f"context has {len(context)} variables, cap is {max_vars}")
+    _check_context(context)
     primes = []
     for size in range(len(context) + 1):
         for combo in combinations(context, size):
@@ -315,10 +319,6 @@ def specialization_closure(primes, backend=None) -> SpecSubset:
     return SpecSubset.closure(primes, backend)
 
 
-def contains(subset: SpecSubset, prime: PrimeId) -> bool:
-    return subset.contains(prime)
-
-
 def leq(a: SpecSubset, b: SpecSubset) -> bool:
     return a.leq(b)
 
@@ -337,8 +337,7 @@ def minimal_variable_covers(supports, context) -> tuple:
     empty set.
     """
     context = tuple(context)
-    if len(context) > DEFAULT_MAX_VARS:
-        raise ValueError(f"context has {len(context)} variables, cap is {DEFAULT_MAX_VARS}")
+    _check_context(context)
     supports = [frozenset(s) for s in supports]
     if any(not s for s in supports):
         return ()

@@ -513,9 +513,10 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None,
 
 
 def run_all_suites(seed: int = 0, trials: int | None = None,
-                   only: str | None = None) -> list[SuiteReport]:
+                   only: str | None = None,
+                   context=("x", "y", "z")) -> list[SuiteReport]:
     names = [only] if only else list(SUITE_NAMES)
     reports = []
     for name in names:
-        reports.extend(run_suite(name, seed=seed, trials=trials))
+        reports.extend(run_suite(name, seed=seed, trials=trials, context=context))
     return reports

@@ -166,6 +166,63 @@ def test_oracle_derive(capsys):
     assert payload["steps"][0]["op"] == "start"
 
 
+def _step(op, inputs, result, matrix=None):
+    return {"op": op, "inputs": inputs, "result": result,
+            **({"matrix": matrix} if matrix is not None else {})}
+
+
+_ORACLE_DERIVE_PINNED = {
+    # torsion ambient, the quotient Z/2 is the cokernel itself
+    ("Z/4", "2*g0"): ("Z/2", [
+        _step("start", [], "Z/4"),
+        _step("cokernel", [0], "Z/2", [[2]]),
+        _step("kernel", [0, 1], "Z/2", [[1]]),
+    ]),
+    # free rank 1: the free generator is split off as a summand
+    ("Z + Z/6", "3*g0"): ("Z/2", [
+        _step("start", [], "Z + Z/6"),
+        _step("summand", [0], "Z", [[1, 0], [0, 0]]),
+        _step("kernel", [0, 1], "Z/6", [[0, 1]]),
+        _step("cokernel", [2], "Z/3", [[3]]),
+        _step("kernel", [2, 3], "Z/2", [[1]]),
+    ]),
+    # one stage whose projection coefficient is reduced modulo d = 2
+    ("Z/2 + Z/4", "g0 + g1"): ("Z/4", [
+        _step("start", [], "Z/2 + Z/4"),
+        _step("cokernel", [0], "Z/2 + Z/2", [[0, 0], [0, 2]]),
+        _step("summand", [1], "Z/2", [[1, 0], [0, 0]]),
+        _step("kernel", [0, 2], "Z/4", [[1, 1]]),
+    ]),
+    # two stages, each quotient a summand of a two-factor cokernel
+    ("Z/2 + Z/4", "2*g1"): ("Z/2", [
+        _step("start", [], "Z/2 + Z/4"),
+        _step("cokernel", [0], "Z/2 + Z/2", [[0, 0], [0, 2]]),
+        _step("summand", [1], "Z/2", [[1, 0], [0, 0]]),
+        _step("kernel", [0, 2], "Z/2 + Z/2", [[0, 1]]),
+        _step("cokernel", [3], "Z/2 + Z/2", [[0, 0], [0, 0]]),
+        _step("summand", [4], "Z/2", [[1, 0], [0, 0]]),
+        _step("kernel", [3, 5], "Z/2", [[1, 0]]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("ambient,sub", sorted(_ORACLE_DERIVE_PINNED))
+def test_oracle_derive_output_pinned(capsys, ambient, sub):
+    subgroup_class, steps = _ORACLE_DERIVE_PINNED[ambient, sub]
+    expected = {"ambient": ambient, "steps": steps, "subgroup_class": subgroup_class}
+    code, out = run(capsys, "oracle", "derive", "--ambient", ambient, "--sub", sub)
+    assert code == 0
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_suite_vars_reach_the_monomial_reports(capsys):
+    code, payload = run_json(capsys, "suite", "--only", "roundtrip",
+                             "--vars", "a,b", "--trials", "5")
+    assert code == 0
+    assert [r["suite"] for r in payload["reports"]] == [
+        "roundtrip:('z',)", "roundtrip:('monomial', ('a', 'b'))"]
+
+
 def test_suite_filter_and_trials(capsys):
     code, payload = run_json(
         capsys, "suite", "--only", "filtration", "--trials", "20",

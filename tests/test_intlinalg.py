@@ -197,6 +197,17 @@ def test_invert_unimodular_rejects_non_unimodular():
         invert_unimodular(IntMatrix([[2]]))
 
 
+def test_invert_unimodular_sign_and_rejections():
+    a = IntMatrix([[2, 3, 1], [1, 2, 0], [0, 0, -1]])
+    assert det(a) == -1
+    inv = invert_unimodular(a)
+    assert a @ inv == IntMatrix.identity(3) == inv @ a
+    with pytest.raises(ValueError, match="singular"):
+        invert_unimodular(IntMatrix([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="not unimodular"):
+        invert_unimodular(IntMatrix([[2, 1], [1, 2]]))
+
+
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])

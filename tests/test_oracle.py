@@ -435,6 +435,26 @@ def test_derive_submodule_random():
         assert all(s.op in allowed for s in trace.steps)
 
 
+def test_derivation_inverts_one_transform_per_stage(monkeypatch):
+    inverted = []
+    real = oracle.invert_unimodular
+    monkeypatch.setattr(oracle, "invert_unimodular",
+                        lambda a: inverted.append(a) or real(a))
+    rng = random.Random("derive-stages")
+    stages = set()
+    for _ in range(30):
+        ambient = ZModule.from_cyclic_orders(
+            rng.randrange(2), [rng.choice((2, 3, 4, 6)) for _ in range(2)])
+        g = ambient.generator_count
+        gens = IntMatrix.from_columns([[rng.randint(-2, 2) for _ in range(g)]], rows=g)
+        inverted.clear()
+        trace = derive_submodule(ambient, gens)
+        kernels = sum(s.op == "kernel" for s in trace.steps)
+        assert len(inverted) == kernels
+        stages.add(kernels)
+    assert {1, 2} <= stages
+
+
 def test_replay_detects_tampering():
     trace = derive_submodule(ZModule.cyclic(4), IntMatrix([[2]]))
     bad_steps = list(trace.steps)
