@@ -190,20 +190,3 @@ def koszul_cyclic_check(n: int, generators) -> KoszulCyclicReport:
         homology=tuple(sorted(table.items())),
         checks=checks,
     )
-
-
-def change_basis(complex_: FreeComplex, transforms) -> FreeComplex:
-    """Conjugate each degree by a unimodular basis change (for testing).
-
-    transforms[k] is the new-basis matrix in degree bottom_degree + k; the
-    differentials become P_{k}^(-1) d P_{k+1}.
-    """
-    from .intlinalg import invert_unimodular
-
-    transforms = list(transforms)
-    if len(transforms) != len(complex_.ranks):
-        raise ValueError("one transform per degree required")
-    new_diffs = []
-    for k, d in enumerate(complex_.differentials):
-        new_diffs.append(invert_unimodular(transforms[k]) @ d @ transforms[k + 1])
-    return FreeComplex(complex_.bottom_degree, complex_.ranks, tuple(new_diffs))

@@ -3,9 +3,10 @@
 Everything here runs on Python ints, so entry growth during elimination is
 absorbed by arbitrary precision arithmetic.  These routines are the substrate
 for the rest of the package: Smith diagonals give canonical forms of
-finitely generated abelian groups and the homology of free complexes, while
-full Smith forms (with their transforms), kernel bases and integer solves give
-subgroup arithmetic.
+finitely generated abelian groups, kernels of module maps and the homology
+of free complexes; column-echelon bases with forward substitution give
+subgroup classes and membership.  Full Smith forms with their transforms
+serve only the callers that read generators or U and V.
 """
 
 from __future__ import annotations
@@ -70,13 +71,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.data[i][j] for i in range(self.rows))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            rows=self.cols,
-            cols=self.rows,
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -422,6 +416,30 @@ def column_basis(a: IntMatrix) -> IntMatrix:
                 col[:] = [-x for x in col]
             basis.append(col)
     return IntMatrix.from_columns(basis, rows=a.rows)
+
+
+def solve_echelon(basis: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """`solve(basis, b)` by forward substitution, for a `column_basis` result.
+
+    Column k of such a basis is zero above its pivot row, its pivot is
+    positive, and pivot rows increase with k, so column k alone fixes row k
+    of X.  A pivot that does not divide leaves a remainder in its row; every
+    row of the residue is checked, so a column of `b` outside the span gives
+    None.
+    """
+    if basis.rows != b.rows:
+        raise ValueError("row count mismatch")
+    cols = [basis.column(k) for k in range(basis.cols)]
+    pivots = [next(i for i, v in enumerate(col) if v) for col in cols]
+    x = [[0] * b.cols for _ in cols]
+    for j in range(b.cols):
+        rest = list(b.column(j))
+        for k, (col, r) in enumerate(zip(cols, pivots)):
+            q = x[k][j] = rest[r] // col[r]
+            rest[r:] = [y - q * c for y, c in zip(rest[r:], col[r:])]
+        if any(rest):
+            return None
+    return IntMatrix(x, rows=basis.cols, cols=b.cols)
 
 
 def det(a: IntMatrix) -> int:

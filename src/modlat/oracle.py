@@ -14,12 +14,16 @@ before added.  Results of an operation that land outside the universe are
 discarded and recorded through a clip flag, never silently.  Universes are
 closed under subgroups and under sub-multisets of primary factors, which is
 what makes the universe-restricted fixed points meaningful.
+
+Explicit subgroups are echelon lattices, so membership and subgroup classes
+take no Smith transform; in a derivation only each stage's canonical
+generators and colon step do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
@@ -31,8 +35,9 @@ from .intlinalg import (
     hstack,
     invert_unimodular,
     snf,
+    solve_echelon,
 )
-from .zmodules import ZModule, ZModuleMap, direct_sum, presentation_matrix
+from .zmodules import ZModule, ZModuleMap, direct_sum, presentation_matrix, subgroup_type
 
 TORSION_ORDER_CAP = 2 ** 14
 CLOSE_MAX_ITERATIONS = 10_000
@@ -586,28 +591,14 @@ def check_closed(subset, kind: str, universe: Universe):
 
 
 class _Subgroup:
-    """A subgroup of a canonical module, as a lattice over its generators."""
+    """A subgroup of a canonical module, as a `column_basis` lattice."""
 
     def __init__(self, ambient: ZModule, basis: IntMatrix):
         self.ambient = ambient
         self.basis = basis
 
-    @classmethod
-    def from_generators(cls, ambient: ZModule, gens: IntMatrix) -> "_Subgroup":
-        if gens.rows != ambient.generator_count:
-            raise ValueError(
-                f"elements need {ambient.generator_count} coordinates, got {gens.rows}"
-            )
-        lattice = column_basis(hstack(gens, presentation_matrix(ambient)))
-        return cls(ambient, lattice)
-
-    @cached_property
-    def _smith(self):
-        """Smith form of the lattice basis, which every solve against it reads."""
-        return snf(self.basis)
-
     def contains(self, column: IntMatrix) -> bool:
-        return _solve_smith(self._smith, column) is not None
+        return solve_echelon(self.basis, column) is not None
 
     def with_element(self, column: IntMatrix) -> "_Subgroup":
         return _Subgroup(
@@ -636,7 +627,7 @@ class _Subgroup:
     def relations(self) -> IntMatrix:
         """The ambient relations in lattice coordinates: a presentation of
         the subgroup on the lattice basis."""
-        x = _solve_smith(self._smith, presentation_matrix(self.ambient))
+        x = solve_echelon(self.basis, presentation_matrix(self.ambient))
         if x is None:
             raise AssertionError("ambient relations escaped the subgroup lattice")
         return x
@@ -657,12 +648,6 @@ class _Subgroup:
         module = ZModule(diag.count(0), tuple(d for d in diag if d > 1))
         gens = IntMatrix.from_columns([u_inv.column(i) for i in keep], rows=x.rows)
         return module, self.basis @ gens
-
-
-def subgroup_type(ambient: ZModule, gens: IntMatrix) -> ZModule:
-    """Isomorphism class of the subgroup generated by the given elements."""
-    return zmodules.from_presentation(
-        _Subgroup.from_generators(ambient, gens).relations())
 
 
 @dataclass(frozen=True)
@@ -733,7 +718,7 @@ def derive_submodule(ambient: ZModule, gens: IntMatrix) -> DerivationTrace:
     Z/d appears as a summand of stage/(d*stage) (a cokernel), and the
     previous stage is the kernel of the induced map onto it.
     """
-    sub = _Subgroup.from_generators(ambient, gens)
+    sub = _Subgroup(ambient, zmodules.subgroup_lattice(ambient, gens))
     g = ambient.generator_count
 
     # A generator, once in, stays in, so one pass over the generators adds

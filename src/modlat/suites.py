@@ -460,56 +460,41 @@ def correspondence_all(trials: int = 500, seed: int = 0,
     return reports
 
 
-SUITE_NAMES = (
-    "snf",
-    "roundtrip",
-    "adjunction",
-    "serre-closure",
-    "subext-closure",
-    "coherent",
-    "derivation",
-    "koszul-cyclic",
-    "filtration",
-    "coprimary",
-    "correspondences",
-    "thick-support",
-)
+# name -> runner(seed, n, context), in the order `run_all_suites` runs them;
+# n(default) is the trial count, which `trials` overrides when given.
+_RUNNERS = {
+    "snf": lambda seed, n, context: [snf_suite(n(1000), seed)],
+    "roundtrip": lambda seed, n, context: [
+        roundtrip_suite(Z_BACKEND, seed, probe_trials=n(200)),
+        roundtrip_suite(monomial_backend(context), seed, probe_trials=n(200))],
+    "adjunction": lambda seed, n, context: [
+        adjunction_suite(Z_BACKEND, seed),
+        adjunction_suite(monomial_backend(("x", "y")), seed)],
+    "serre-closure": lambda seed, n, context: [serre_closure_suite(seed=seed)],
+    "subext-closure": lambda seed, n, context: [subext_closure_suite(seed=seed)],
+    "coherent": lambda seed, n, context: [
+        coherent_closure_suite(trials=n(50), seed=seed)],
+    "derivation": lambda seed, n, context: [derivation_suite(n(200), seed)],
+    "koszul-cyclic": lambda seed, n, context: [koszul_cyclic_suite(n(200), seed)],
+    "filtration": lambda seed, n, context: [filtration_suite(n(500), seed)],
+    "coprimary": lambda seed, n, context: [coprimary_suite(n(500), seed)],
+    "correspondences": lambda seed, n, context: correspondence_all(
+        n(500), seed, context),
+    "thick-support": lambda seed, n, context: [thick_support_suite(seed)],
+}
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, seed: int = 0, trials: int | None = None,
               context=("x", "y", "z")) -> list[SuiteReport]:
     """Run one named suite; `trials` scales the randomized drivers."""
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
+
     def n(default):
         return default if trials is None else trials
 
-    if name == "snf":
-        return [snf_suite(n(1000), seed)]
-    if name == "roundtrip":
-        return [roundtrip_suite(Z_BACKEND, seed, probe_trials=n(200)),
-                roundtrip_suite(monomial_backend(context), seed,
-                                probe_trials=n(200))]
-    if name == "adjunction":
-        return [adjunction_suite(Z_BACKEND, seed),
-                adjunction_suite(monomial_backend(("x", "y")), seed)]
-    if name == "serre-closure":
-        return [serre_closure_suite(seed=seed)]
-    if name == "subext-closure":
-        return [subext_closure_suite(seed=seed)]
-    if name == "coherent":
-        return [coherent_closure_suite(trials=n(50), seed=seed)]
-    if name == "derivation":
-        return [derivation_suite(n(200), seed)]
-    if name == "koszul-cyclic":
-        return [koszul_cyclic_suite(n(200), seed)]
-    if name == "filtration":
-        return [filtration_suite(n(500), seed)]
-    if name == "coprimary":
-        return [coprimary_suite(n(500), seed)]
-    if name == "correspondences":
-        return correspondence_all(n(500), seed, context)
-    if name == "thick-support":
-        return [thick_support_suite(seed)]
-    raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
+    return _RUNNERS[name](seed, n, context)
 
 
 def run_all_suites(seed: int = 0, trials: int | None = None,

@@ -22,8 +22,8 @@ from .intlinalg import (
     cokernel_structure,
     column_basis,
     hstack,
-    kernel_basis,
-    solve,
+    smith_diagonal,
+    solve_echelon,
 )
 from .spectrum import PrimeId, SpecSubset, Z_BACKEND, v_of_ideal
 
@@ -389,23 +389,20 @@ def scalar_map(c: int, m: ZModule) -> ZModuleMap:
     return ZModuleMap(m, m, IntMatrix.identity(g).scale(c))
 
 
-def _domain_lattice(f: ZModuleMap) -> IntMatrix:
-    """Basis of {v in Z^gens(source) : f(v) falls in the target relations}."""
-    rel_t = presentation_matrix(f.target)
-    big = hstack(f.matrix, rel_t)
-    ker = kernel_basis(big)
-    gs = f.source.generator_count
-    top = IntMatrix([ker.data[i] for i in range(gs)], rows=gs, cols=ker.cols)
-    return column_basis(top)
-
-
 def kernel(f: ZModuleMap) -> ZModule:
-    basis = _domain_lattice(f)
-    rel_s = presentation_matrix(f.source)
-    x = solve(basis, rel_s)
-    if x is None:
-        raise ValueError("source relations escape the kernel lattice")
-    return from_presentation(x)
+    """ker f as H_1 of Z^(k_M) --(R_M; -A1)--> Z^(g_M + k_N) --[A | R_N]--> Z^(g_N).
+
+    g counts generators, k torsion generators, and R_M, R_N are the canonical
+    relations.  A1 = A·R_M / R_N is exact on the torsion rows because f
+    respects the relations, and the free rows of A·R_M are zero.  H_1 is
+    Z^(n_1 - rk d_1 - rk d_2) plus the nonunit invariant factors of d_2.
+    """
+    s, t = f.source.torsion, f.target.torsion
+    d2 = IntMatrix(list(presentation_matrix(f.source).data) + [
+        [-(f.matrix[i, j] * s[j] // t[i]) for j in range(len(s))] for i in range(len(t))])
+    free, factors = cokernel_structure(d2)
+    d1 = hstack(f.matrix, presentation_matrix(f.target))
+    return ZModule(free - sum(1 for x in smith_diagonal(d1) if x), factors)
 
 
 def cokernel(f: ZModuleMap) -> ZModule:
@@ -413,7 +410,23 @@ def cokernel(f: ZModuleMap) -> ZModule:
 
 
 def image(f: ZModuleMap) -> ZModule:
-    return from_presentation(_domain_lattice(f))
+    return subgroup_type(f.target, f.matrix)
+
+
+def subgroup_lattice(ambient: ZModule, gens: IntMatrix) -> IntMatrix:
+    """`column_basis` of the columns of `gens` and the ambient relations."""
+    if gens.rows != ambient.generator_count:
+        raise ValueError(
+            f"elements need {ambient.generator_count} coordinates, got {gens.rows}"
+        )
+    return column_basis(hstack(gens, presentation_matrix(ambient)))
+
+
+def subgroup_type(ambient: ZModule, gens: IntMatrix) -> ZModule:
+    """Class of the subgroup the columns of `gens` generate: the ambient
+    relations in the coordinates of its lattice basis present it."""
+    lattice = subgroup_lattice(ambient, gens)
+    return from_presentation(solve_echelon(lattice, presentation_matrix(ambient)))
 
 
 # -- filtrations and coprimary structure ---------------------------------

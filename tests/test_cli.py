@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from modlat import suites
 from modlat.cli import main
 
 
@@ -232,6 +233,15 @@ def test_suite_filter_and_trials(capsys):
     code, payload = run_json(capsys, "suite", "--only", "snf", "--trials", "0")
     assert code == 0
     assert "warning" in payload
+
+
+def test_suite_names_in_run_order_and_unknown_suite():
+    assert suites.SUITE_NAMES == (
+        "snf", "roundtrip", "adjunction", "serre-closure", "subext-closure",
+        "coherent", "derivation", "koszul-cyclic", "filtration", "coprimary",
+        "correspondences", "thick-support")
+    with pytest.raises(ValueError, match=r"^unknown suite 'nope'; pick from \('snf', "):
+        suites.run_suite("nope")
 
 
 def test_determinism(capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from modlat.complexes import (
     FreeComplex,
-    change_basis,
     complex_support,
     homology,
     homology_table,
@@ -15,9 +14,24 @@ from modlat.complexes import (
     koszul_cyclic_check,
     thick_member,
 )
-from modlat.intlinalg import IntMatrix, kernel_basis, solve
+from modlat.intlinalg import IntMatrix, invert_unimodular, kernel_basis, solve
 from modlat.spectrum import PrimeId, SpecSubset, Z_BACKEND
 from modlat.zmodules import ZModule, cyclic_filtration, from_presentation, supp
+
+
+def change_basis(complex_: FreeComplex, transforms) -> FreeComplex:
+    """Conjugate each degree by a unimodular basis change.
+
+    transforms[k] is the new-basis matrix in degree bottom_degree + k; the
+    differentials become P_{k}^(-1) d P_{k+1}.
+    """
+    transforms = list(transforms)
+    if len(transforms) != len(complex_.ranks):
+        raise ValueError("one transform per degree required")
+    new_diffs = []
+    for k, d in enumerate(complex_.differentials):
+        new_diffs.append(invert_unimodular(transforms[k]) @ d @ transforms[k + 1])
+    return FreeComplex(complex_.bottom_degree, complex_.ranks, tuple(new_diffs))
 
 
 def test_koszul_rank_one():

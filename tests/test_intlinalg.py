@@ -21,6 +21,7 @@ from modlat.intlinalg import (
     smith_diagonal,
     snf,
     solve,
+    solve_echelon,
 )
 
 
@@ -190,6 +191,50 @@ def test_solve_and_column_basis():
 def test_solve_reports_unsolvable():
     assert solve(IntMatrix([[2]]), IntMatrix([[3]])) is None
     assert solve(IntMatrix([[2, 4]]), IntMatrix([[1]])) is None
+
+
+def test_solve_echelon_matches_solve():
+    rng = random.Random("echelon")
+    for _ in range(150):
+        a = random_matrix(rng, max_dim=5, max_entry=6)
+        basis = column_basis(a)
+        columns = []
+        for _ in range(3):
+            if rng.random() < 0.5:
+                coeffs = [rng.randint(-3, 3) for _ in range(basis.cols)]
+                columns.append([sum(c * x for c, x in zip(coeffs, basis.row(i)))
+                                for i in range(basis.rows)])
+            else:
+                columns.append([rng.randint(-6, 6) for _ in range(basis.rows)])
+        for col in columns:
+            b = IntMatrix.from_columns([col], rows=basis.rows)
+            assert solve_echelon(basis, b) == solve(basis, b)
+        b = IntMatrix.from_columns(columns, rows=basis.rows)
+        assert solve_echelon(basis, b) == solve(basis, b)
+
+
+def test_solve_echelon_edge_cases():
+    # the pivot 2 does not divide 3, though row 1 alone would allow it
+    basis = column_basis(IntMatrix([[2], [1]]))
+    assert solve_echelon(basis, IntMatrix([[3], [1]])) is None
+    assert solve_echelon(basis, IntMatrix([[4], [2]])) == IntMatrix([[2]])
+    # a residue left in row 1, which is no column's pivot row
+    basis = column_basis(IntMatrix([[1, 0], [0, 0], [0, 1]]))
+    assert basis.shape == (3, 2)
+    assert solve_echelon(basis, IntMatrix([[1], [1], [1]])) is None
+    basis = column_basis(IntMatrix([[1], [2], [0]]))
+    assert solve_echelon(basis, IntMatrix([[1], [3], [0]])) is None
+    assert solve_echelon(basis, IntMatrix([[-1], [-2], [0]])) == IntMatrix([[-1]])
+    # a basis with no columns spans only zero
+    empty = column_basis(IntMatrix.zeros(3, 2))
+    assert empty.shape == (3, 0)
+    assert solve_echelon(empty, IntMatrix.zeros(3, 2)) == IntMatrix.zeros(0, 2)
+    assert solve_echelon(empty, IntMatrix([[0], [1], [0]])) is None
+    # a right-hand side with no columns always solves
+    basis = column_basis(IntMatrix([[2, 1], [0, 3]]))
+    assert solve_echelon(basis, IntMatrix.zeros(2, 0)) == IntMatrix.zeros(basis.cols, 0)
+    with pytest.raises(ValueError):
+        solve_echelon(basis, IntMatrix([[1]]))
 
 
 def test_invert_unimodular_rejects_non_unimodular():

@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from modlat import oracle
+from modlat import intlinalg, oracle, zmodules
 from modlat.classify import ass_union, supp_union
 from modlat.intlinalg import IntMatrix
 from modlat.oracle import (
@@ -31,7 +31,7 @@ from modlat.oracle import (
     surjects_onto,
 )
 from modlat.spectrum import Z_BACKEND
-from modlat.zmodules import ZModule, ass, direct_sum, supp
+from modlat.zmodules import ZModule, ZModuleMap, ass, direct_sum, subgroup_lattice, supp
 
 SMALL = Universe(primes=(2,), max_exponent=2, max_rank=1, max_torsion_factors=2)
 ACCEPT = Universe(primes=(2, 3), max_exponent=2, max_rank=1, max_torsion_factors=2)
@@ -453,6 +453,29 @@ def test_derivation_inverts_one_transform_per_stage(monkeypatch):
         assert len(inverted) == kernels
         stages.add(kernels)
     assert {1, 2} <= stages
+
+
+def test_kernels_and_subgroup_classes_take_no_smith_transform(monkeypatch):
+    ambient = ZModule.from_cyclic_orders(1, [2, 4])
+    gens = IntMatrix([[1], [2], [0]])
+    trace = derive_submodule(ambient, gens)
+
+    def no_snf(*args, **kwargs):
+        raise AssertionError("snf called")
+
+    monkeypatch.setattr(intlinalg, "snf", no_snf)
+    monkeypatch.setattr(oracle, "snf", no_snf)
+    f = ZModuleMap(ambient, ZModule.cyclic(4), IntMatrix([[2, 1, 3]]))
+    assert zmodules.kernel(f) == ZModule.from_cyclic_orders(1, [2])
+    assert zmodules.image(f) == ZModule.cyclic(4)
+    sub = oracle._Subgroup(ambient, subgroup_lattice(ambient, gens))
+    assert sub.contains(IntMatrix([[1], [2], [0]]))
+    assert sub.contains(IntMatrix([[0], [0], [0]]))
+    assert not sub.contains(IntMatrix([[0], [1], [0]]))
+    assert not sub.contains(IntMatrix([[0], [0], [1]]))
+    assert zmodules.from_presentation(sub.relations()) == ZModule.cyclic(2)
+    assert subgroup_type(ambient, gens) == ZModule.cyclic(2)
+    assert trace.replay() == ZModule.cyclic(2)
 
 
 def test_replay_detects_tampering():

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from modlat.intlinalg import IntMatrix
+from modlat.intlinalg import IntMatrix, column_basis, hstack, kernel_basis, solve
 from modlat.spectrum import PrimeId, SpecSubset, Z_BACKEND
 from modlat.zmodules import (
     INFINITY,
@@ -243,6 +243,16 @@ def test_kernel_cokernel_image_examples():
     img = {model.scale(k, (2,)) for k in range(4)}
     assert len(img) == 2
     assert kernel(f) == ZModule.free(1)
+    # maps into Z, from free modules, and from or to the zero module
+    z = ZModule.free(1)
+    assert kernel(ZModuleMap(ZModule.free(2), z, IntMatrix([[2, 3]]))) == z
+    g = ZModuleMap(ZModule(1, (6,)), z, IntMatrix([[0, 5]]))
+    assert kernel(g) == ZModule.cyclic(6) and image(g) == z
+    g = ZModuleMap(ZModule.free(2), ZModule.cyclic(4), IntMatrix([[2, 6]]))
+    assert kernel(g) == ZModule.free(2) and image(g) == ZModule.cyclic(2)
+    assert kernel(ZModuleMap(ZModule.zero(), z, IntMatrix.zeros(1, 0))) == ZModule.zero()
+    assert kernel(ZModuleMap(ZModule(0, (2, 4)), ZModule.zero(),
+                             IntMatrix.zeros(0, 2))) == ZModule(0, (2, 4))
 
 
 def test_kernel_cokernel_consistency_random():
@@ -272,6 +282,50 @@ def test_kernel_cokernel_consistency_random():
         if m.free_rank == 0 and n.free_rank == 0:
             assert k.torsion_order() * im.torsion_order() == m.torsion_order()
             assert im.torsion_order() * c.torsion_order() == n.torsion_order()
+
+
+def _random_map(rng, m, n):
+    """A map m -> n with random entries that respect the source relations."""
+    rows = []
+    for e in n.generator_orders:
+        row = []
+        for d in m.generator_orders:
+            if d == 0:
+                row.append(rng.randint(-20, 20))
+            elif e == 0:
+                row.append(0)
+            else:
+                row.append(e // math.gcd(d, e) * rng.randint(-4, 4))
+        rows.append(row)
+    return ZModuleMap(m, n, IntMatrix(rows, rows=n.generator_count,
+                                      cols=m.generator_count))
+
+
+def _domain_lattice(f):
+    """Basis of {v : f(v) lies in the target relations}, through a kernel
+    basis of [A | R_N] (the transform path)."""
+    ker = kernel_basis(hstack(f.matrix, presentation_matrix(f.target)))
+    gs = f.source.generator_count
+    return column_basis(IntMatrix(ker.data[:gs], rows=gs, cols=ker.cols))
+
+
+def test_kernel_and_image_match_transform_path():
+    rng = random.Random("cone-kernel")
+    edge = [ZModule.zero(), ZModule.free(1), ZModule.free(2), ZModule.cyclic(6),
+            ZModule.from_cyclic_orders(1, [4]), ZModule.from_cyclic_orders(0, [2, 12])]
+    pairs = [(m, n) for m in edge for n in edge]
+    for _ in range(300):
+        pairs.append(tuple(
+            ZModule.from_cyclic_orders(rng.randrange(3), [
+                rng.randint(2, 27) for _ in range(rng.randrange(4))])
+            for _ in range(2)))
+    for m, n in pairs:
+        for _ in range(2):
+            f = _random_map(rng, m, n)
+            lattice = _domain_lattice(f)
+            assert kernel(f) == from_presentation(
+                solve(lattice, presentation_matrix(m))), (m, n, f.matrix)
+            assert image(f) == from_presentation(lattice), (m, n, f.matrix)
 
 
 def test_cyclic_filtration_examples():
