@@ -31,11 +31,17 @@ from .spectrum import PrimeId, Z_BACKEND, monomial_backend
 
 KIND_BY_NAME = {k.value: k for k in ClosureKind}
 # Input caps, checked before any work.  A length-r Koszul sequence builds
-# differentials of up to C(r, r/2) rows, and past length 9 each extra term
-# makes the table about eight times slower.  A full Smith form keeps
-# unreduced transforms: dense 20x20 matrices with entries in [-9, 9] took
-# up to a second.
+# differentials of up to C(r, r/2) rows, and each term past 7 makes the table
+# about five times slower: seeded two-digit terms took at most 0.05 s at
+# length 8, 0.22 s at length 9 and 1.2 s at length 10 (one Xeon vCPU).  The
+# elimination works modulo a minor that is a product of up to C(r-1, r/2)
+# terms, so time also grows with the terms' size: seeded length-8 sequences
+# of 10- and 20-digit terms took at most 0.46 s, and ones whose terms all
+# share a prime with the smallest, so that no entry is a unit modulo the
+# minor, up to 3 s.  A full Smith form keeps unreduced transforms: dense
+# 20x20 matrices with entries in [-9, 9] took up to a second.
 KOSZUL_MAX_LENGTH = 8
+KOSZUL_MAX_DIGITS = 20
 SNF_MAX_DIM = 20
 
 
@@ -93,6 +99,17 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
+def _check_printable(*matrices) -> None:
+    """Refuse entries longer than the interpreter prints as decimal integers
+    (`sys.get_int_max_str_digits`, where it exists and is not 0)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    widest = max((abs(x) for m in matrices for row in m.data for x in row), default=0)
+    # 10**limit has more than 3 * limit bits, so most entries need no power.
+    if limit and widest.bit_length() > 3 * limit and widest >= 10 ** limit:
+        raise ValueError(f"an entry of U or V has more than {limit} digits, "
+                         f"the interpreter's limit for printing an integer")
+
+
 # -- command handlers ---------------------------------------------------------
 
 
@@ -102,6 +119,7 @@ def cmd_snf(args) -> tuple[int, dict]:
         raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, "
                          f"cap is {SNF_MAX_DIM} rows and columns")
     dec = snf(matrix)
+    _check_printable(dec.u, dec.v)
     return 0, {
         "input": matrix.to_lists(),
         "d": dec.d.to_lists(),
@@ -175,6 +193,10 @@ def cmd_koszul(args) -> tuple[int, dict]:
     if len(gens) > KOSZUL_MAX_LENGTH:
         raise ValueError(f"sequence has {len(gens)} terms, "
                          f"cap is {KOSZUL_MAX_LENGTH}")
+    digits = max(len(str(abs(g))) for g in gens)
+    if digits > KOSZUL_MAX_DIGITS:
+        raise ValueError(f"a term has {digits} digits, "
+                         f"cap is {KOSZUL_MAX_DIGITS}")
     complex_ = complexes.koszul_complex(gens)
     table = complexes.homology_table(complex_)
     return 0, {

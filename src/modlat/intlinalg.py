@@ -26,12 +26,12 @@ class IntMatrix:
             rows = len(tup)
         if cols is None:
             cols = len(tup[0]) if tup else 0
+        if not tup and not cols:
+            tup = ((),) * rows
         if len(tup) != rows:
             raise ValueError(f"expected {rows} rows, got {len(tup)}")
         if any(len(row) != cols for row in tup):
             raise ValueError("rows have unequal lengths")
-        if rows and not tup:
-            tup = tuple(() for _ in range(rows))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", tup)
@@ -76,14 +76,12 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         out = []
-        for i in range(self.rows):
-            row = self.data[i]
-            out.append(
-                [
-                    sum(row[k] * other.data[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
+        for row in self.data:
+            acc = [0] * other.cols
+            for x, right in zip(row, other.data):
+                if x:
+                    acc = [y + x * z for y, z in zip(acc, right)]
+            out.append(acc)
         return IntMatrix(out, rows=self.rows, cols=other.cols)
 
     def scale(self, c: int) -> "IntMatrix":
@@ -272,10 +270,63 @@ def _rank_and_minor(d, m, n) -> tuple[int, int]:
         for i in range(k + 1, m):
             di = d[i]
             c = di[k]
-            for j in range(k + 1, n):
-                di[j] = (di[j] * p - c * dk[j]) // prev
+            if c:
+                for j in range(k + 1, n):
+                    di[j] = (di[j] * p - c * dk[j]) // prev
+            else:
+                # The row only scales by p / prev, and its zeros stay zero.
+                for j in range(k + 1, n):
+                    if di[j]:
+                        di[j] = di[j] * p // prev
         prev = p
     return min(m, n), abs(prev)
+
+
+def _find_unit(d, m, n, t, modulus):
+    """First entry of the block at (t, t), in row-major order, that is a unit
+    modulo `modulus`, or None."""
+    for i in range(t, m):
+        row = d[i]
+        for j in range(t, n):
+            if row[j] and gcd(row[j], modulus) == 1:
+                return i, j
+    return None
+
+
+def _coprime_part(modulus: int, g: int) -> int:
+    """`modulus` with every prime factor of `g` divided out."""
+    while (h := gcd(modulus, g)) > 1:
+        modulus //= h
+    return modulus
+
+
+def _make_unit(d, m, n, t, modulus) -> None:
+    """Make (t, t) a unit modulo `modulus` when the block's entries generate
+    the unit ideal but none is a unit.
+
+    Adding k times column j to column t, with k the part of the modulus prime
+    to gcd(column t, modulus), keeps every prime that already fails to divide
+    column t and brings in those that column j has, so after the other
+    columns column t generates the unit ideal.  The same step on rows then
+    makes the entry (t, t) a unit.
+    """
+    g = gcd(modulus, *(row[t] for row in d[t:]))
+    for j in range(t + 1, n):
+        if g == 1:
+            break
+        if gcd(g, *(row[j] for row in d[t:])) < g:
+            k = _coprime_part(modulus, g)
+            for row in d[t:]:
+                row[t] = (row[t] + k * row[j]) % modulus
+            g = gcd(modulus, *(row[t] for row in d[t:]))
+    g = gcd(modulus, d[t][t])
+    for i in range(t + 1, m):
+        if g == 1:
+            break
+        if gcd(g, d[i][t]) < g:
+            k = _coprime_part(modulus, g)
+            d[t][t:] = [(x + k * y) % modulus for x, y in zip(d[t][t:], d[i][t:])]
+            g = gcd(modulus, d[t][t])
 
 
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -286,60 +337,51 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     [a | M*I] too, whose column lattice contains M*Z^rows.  So the elimination
     works in (Z/M)^rows: it reduces every entry modulo M, may scale a row by a
     unit modulo M, and no entry ever exceeds M (Domich, Kannan and Trotter,
-    Math. Oper. Res. 1987).  Each pivot p contributes gcd(p, M); a block that
-    vanishes modulo M before step r contributes M for each remaining step; the
+    Math. Oper. Res. 1987).
+
+    Each step pivots on the first entry of the block that is a unit modulo M:
+    scaled to 1, it clears its column in one pass, and the block left over
+    needs nothing more.  A block with no unit first has its common factor c
+    with M divided out, block and M alike, and every later diagonal entry is
+    multiplied by c, since the Smith form of c*X is c times that of X.  A
+    unit is then looked for again; if there is still none, the block's
+    entries and M are coprime, and adding multiples of other columns and rows
+    to the pivot's makes one (`_make_unit`).  So each step contributes the
+    product of the factors divided out so far; a block that vanishes modulo
+    M before step r contributes that times M for each remaining step; the
     rest of the diagonal is zero.
     """
     m, n = a.rows, a.cols
     rank, modulus = _rank_and_minor([list(row) for row in a.data], m, n)
     d = [[x % modulus for x in row] for row in a.data]
     diag = []
+    scale = 1
     for t in range(rank):
-        piv = _find_pivot(d, m, n, t, "min_abs")
+        piv = _find_unit(d, m, n, t, modulus)
         if piv is None:
-            diag += [modulus] * (rank - t)
-            break
+            c = gcd(modulus, *(x for row in d[t:] for x in row[t:]))
+            if c == modulus:
+                diag += [scale * modulus] * (rank - t)
+                break
+            if c > 1:
+                scale *= c
+                modulus //= c
+                for row in d[t:]:
+                    row[t:] = [x // c for x in row[t:]]
+                piv = _find_unit(d, m, n, t, modulus)
+            if piv is None:
+                _make_unit(d, m, n, t, modulus)
+                piv = (t, t)
         d[t], d[piv[0]] = d[piv[0]], d[t]
         for row in d[t:]:
             row[t], row[piv[1]] = row[piv[1]], row[t]
-        while True:
-            p = d[t][t]
-            g = gcd(p, modulus)
-            if g == 1:
-                # A unit modulo M scales to 1 and clears its column in one
-                # step per row; the block left over needs nothing more.
-                inv = pow(p, -1, modulus)
-                rt = [x * inv % modulus for x in d[t][t:]]
-                for row in d[t + 1:]:
-                    c = row[t]
-                    if c:
-                        row[t:] = [(x - c * y) % modulus for x, y in zip(row[t:], rt)]
-                break
-            # Entries are residues in [0, M), so a nonzero remainder is
-            # strictly smaller than the pivot and swapping it in makes progress.
-            i = next((i for i in range(t + 1, m) if d[i][t]), None)
-            if i is not None:
-                q = d[i][t] // p
-                d[i][t:] = [(x - q * y) % modulus for x, y in zip(d[i][t:], d[t][t:])]
-                if d[i][t]:
-                    d[i], d[t] = d[t], d[i]
-                continue
-            j = next((j for j in range(t + 1, n) if d[t][j] % p), None)
-            if j is not None:
-                q = d[t][j] // p
-                for row in d[t:]:
-                    row[j] = (row[j] - q * row[t]) % modulus
-                    row[t], row[j] = row[j], row[t]
-                continue
-            # Column t is clear and p divides row t, so column operations
-            # would clear the row without touching the block.  gcd(p, M) must
-            # divide the rest of the block for the chain to hold.
-            bad = next((i for i in range(t + 1, m)
-                        if any(x % g for x in d[i][t + 1:])), None)
-            if bad is None:
-                break
-            d[t][t:] = [(x + y) % modulus for x, y in zip(d[t][t:], d[bad][t:])]
-        diag.append(g)
+        inv = pow(d[t][t], -1, modulus)
+        rt = [x * inv % modulus for x in d[t][t:]]
+        for row in d[t + 1:]:
+            q = row[t]
+            if q:
+                row[t:] = [(x - q * y) % modulus for x, y in zip(row[t:], rt)]
+        diag.append(scale)
     return tuple(diag) + (0,) * (min(m, n) - rank)
 
 

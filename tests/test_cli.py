@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -327,6 +328,50 @@ def test_koszul_length_cap(capsys, monkeypatch):
     assert code == 0
     # the entries are coprime, so the complex is exact
     assert set(payload["homology"].values()) == {"0"}
+
+
+def test_koszul_digits_cap(capsys, monkeypatch):
+    from modlat import cli, complexes
+
+    cap = cli.KOSZUL_MAX_DIGITS
+    line = _refused(capsys, monkeypatch, complexes, "koszul_complex",
+                    "koszul", "3,-" + "7" * (cap + 1))
+    assert line == f"error: a term has {cap + 1} digits, cap is {cap}"
+    monkeypatch.undo()
+    # the widest admitted terms; they are coprime, so the complex is exact
+    code, payload = run_json(capsys, "koszul", f"{10 ** cap - 1},-{10 ** (cap - 1)}")
+    assert code == 0
+    assert set(payload["homology"].values()) == {"0"}
+
+
+def test_snf_transforms_past_the_printable_digits(capsys):
+    """U or V of an ordinary 20x20 matrix can have entries longer than the
+    interpreter prints; the request is refused with one line, in both formats."""
+    rng = random.Random(5)
+    matrices = [[[rng.randint(-99, 99) for _ in range(20)] for _ in range(20)]
+                for _ in range(2)]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for fmt in ("json", "text"):
+            code = main(["--format", fmt, "snf", json.dumps(matrices[1])])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "error: an entry of U or V has more than 4300 digits, "
+                "the interpreter's limit for printing an integer"]
+        from modlat.cli import _check_printable
+        from modlat.intlinalg import IntMatrix
+
+        _check_printable(IntMatrix([[-(10 ** 4300 - 1)]]))
+        with pytest.raises(ValueError, match="4300 digits"):
+            _check_printable(IntMatrix([[0], [10 ** 4300]]))
+        # the first matrix of the same draw stays within the limit
+        code, payload = run_json(capsys, "snf", json.dumps(matrices[0]))
+        assert code == 0 and len(payload["u"]) == 20
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_snf_size_cap(capsys, monkeypatch):

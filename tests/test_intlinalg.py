@@ -7,7 +7,7 @@ explicit unimodular products for invariance checks.
 
 import random
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -259,6 +259,32 @@ def test_matrix_shape_validation():
     m = IntMatrix([], rows=0, cols=3)
     assert m.shape == (0, 3)
     assert (m @ IntMatrix.zeros(3, 2)).shape == (0, 2)
+    m = IntMatrix([], rows=3, cols=0)
+    assert m.shape == (3, 0)
+    assert m == IntMatrix([[], [], []], rows=3, cols=0) == IntMatrix.zeros(3, 0)
+    with pytest.raises(ValueError, match="expected 3 rows, got 0"):
+        IntMatrix([], rows=3, cols=2)
+
+
+def test_matmul_matches_triple_sum():
+    rng = random.Random("matmul")
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randrange(1, 7) for _ in range(3)) for _ in range(40)]
+    for rows, inner, cols in shapes:
+        for density in (0.0, 0.3, 1.0):
+            def draw(r, c):
+                data = [[rng.randint(-9, 9) if rng.random() < density else 0
+                         for _ in range(c)] for _ in range(r)]
+                if r > 1:
+                    data[rng.randrange(r)] = [0] * c
+                return data
+
+            a, b = draw(rows, inner), draw(inner, cols)
+            expected = [[sum(a[i][k] * b[k][j] for k in range(inner))
+                         for j in range(cols)] for i in range(rows)]
+            got = IntMatrix(a, rows=rows, cols=inner) @ IntMatrix(b, rows=inner, cols=cols)
+            assert got.shape == (rows, cols)
+            assert got.to_lists() == expected
 
 
 def _seeded_matrix(rng, rows, cols, rank=None, scale=1):
@@ -274,18 +300,75 @@ def _seeded_matrix(rng, rows, cols, rank=None, scale=1):
     return IntMatrix([[scale * x for x in row] for row in data], rows=rows, cols=cols)
 
 
-@pytest.mark.parametrize("kind", ["full", "deficient", "scaled"])
+def _two_prime_matrix(rng, rows, cols):
+    """Entries 0 or +-2^a 3^b with a + b >= 1, so no entry is a unit modulo a
+    minor divisible by 6, and the block's common factor with it varies."""
+    return IntMatrix([[rng.choice((0, 1, -1)) * 2 ** rng.randrange(3) * 3 ** rng.randrange(3)
+                       * rng.choice((2, 3)) for _ in range(cols)] for _ in range(rows)],
+                     rows=rows, cols=cols)
+
+
+def _late_factor_matrix(rng, rows, cols):
+    """L @ D @ R for unimodular L, R and a diagonal D = (1, ..., 1, c_1, ...)
+    of a divisibility chain: the common factor with the minor shows only
+    after the unit steps."""
+    units = rng.randrange(0, min(rows, cols))
+    chain, x = [], 1
+    for k in range(min(rows, cols)):
+        if k >= units:
+            x *= rng.choice((1, 2, 3, 4, 6, 9))
+        chain.append(x)
+    d = [[chain[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    return random_unimodular(rng, rows) @ IntMatrix(d, rows=rows, cols=cols) \
+        @ random_unimodular(rng, cols)
+
+
+def _koszul_cases(rng):
+    """Every differential of seeded Koszul complexes of lengths 2-8, plain
+    and scaled by 2, 3 and 6, and of the length-8 sequence that once ran for
+    minutes, with its closed-form diagonal: K(x) is isomorphic to
+    K(g, 0, ..., 0) for g the gcd of x, so the diagonal of d_i is g repeated
+    C(r - 1, i - 1) times, then zeros."""
+    from modlat.complexes import koszul_complex
+
+    sequences = [(39, 57, 58, 26, 34, 15, 20, 27)]
+    for length in range(2, 9):
+        for scale in (1, 2, 3, 6):
+            sequences.append(tuple(scale * rng.randint(1, 99 // scale) for _ in range(length)))
+    for seq in sequences:
+        r, g = len(seq), gcd(*seq)
+        for i, d in enumerate(koszul_complex(seq).differentials, 1):
+            nonzero = (g,) * comb(r - 1, i - 1)
+            yield d, nonzero + (0,) * (min(d.shape) - len(nonzero)), r
+
+
+@pytest.mark.parametrize("kind", ["full", "deficient", "scaled", "no_unit", "late_factor",
+                                  "koszul"])
 def test_smith_diagonal_matches_snf(kind):
     rng = random.Random(f"smith-diagonal:{kind}")
+    if kind == "koszul":
+        # A full Smith form of a length-7 table takes seconds, so past
+        # length 6 the closed form is the only reference.
+        cases = list(_koszul_cases(rng))
+        assert len(cases) == 4 * sum(range(2, 9)) + 8
+        for a, closed_form, length in cases:
+            assert smith_diagonal(a) == closed_form
+            if length <= 6:
+                assert snf(a).diagonal() == closed_form
+        return
     for _ in range(40):
         rows, cols = rng.randrange(1, 10), rng.randrange(1, 10)
         if kind == "full":
             a = _seeded_matrix(rng, rows, cols)
         elif kind == "deficient":
             a = _seeded_matrix(rng, rows, cols, rank=rng.randrange(1, min(rows, cols) + 1))
-        else:
+        elif kind == "scaled":
             a = _seeded_matrix(rng, rows, cols, rank=rng.randrange(1, min(rows, cols) + 1),
                                scale=rng.choice((2, 6, 12)))
+        elif kind == "no_unit":
+            a = _two_prime_matrix(rng, rows, cols)
+        else:
+            a = _late_factor_matrix(rng, rows, cols)
         assert smith_diagonal(a) == snf(a).diagonal()
 
 
