@@ -359,7 +359,7 @@ def _grade_of_prime_z(prime: PrimeId, x: ZModule):
 def _z_regular_probes(x: ZModule, m: ZModule) -> list[int]:
     pool = set()
     for mod in (x, m):
-        for p, _ in mod.primary_factors():
+        for p, _ in mod.primary_factors:
             pool.add(p)
     control = next(p for p in (2, 3, 5, 7, 11, 13) if p not in pool)
     pool.add(control)

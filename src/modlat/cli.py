@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -375,6 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("koszul", help="Koszul complex of an integer sequence")
     p.add_argument("sequence")
+    # argparse reads "-3,5" as an unknown option: it takes only a single
+    # number for a negative positional.  A comma list is a positional too.
+    p._negative_number_matcher = re.compile(r"^-\d[\d,-]*$")
     p.set_defaults(handler=cmd_koszul)
 
     p = sub.add_parser("classify", help="membership and lattice map checks")

@@ -4,16 +4,20 @@ The oracle enumerates a finite universe of isomorphism classes, computes
 genuine closures of generator sets under chosen operations, and produces
 replayable derivation witnesses for submodule membership.
 
-Torsion parts are handled by complete element-level enumeration (subgroups,
-homomorphism images, extension cocycles; kernels are the subgroups whose
-quotient embeds in the target); free parts are handled by the structural
-reductions documented on each operation.  One operation table serves both
-`close` and `check_closed`, and `close` reaches its fixed point semi-naively:
-each round applies operations only to inputs that include a class the round
-before added.  Results of an operation that land outside the universe are
-discarded and recorded through a clip flag, never silently.  Universes are
-closed under subgroups and under sub-multisets of primary factors, which is
-what makes the universe-restricted fixed points meaningful.
+Torsion parts are handled by element-level enumeration (subgroups and
+homomorphism images; kernels are the subgroups whose quotient embeds in the
+target).  Extensions are split before anything is enumerated: a free part of
+the quotient splits off, Ext splits over the primes of a torsion quotient,
+and a free part of the sub turns into a choice of subgroup of the quotient;
+extension cocycles are enumerated only on torsion pairs of one prime.
+Cokernels of maps onto Z + T are read from the extension table.  One
+operation table serves both `close` and `check_closed`, and `close` reaches
+its fixed point semi-naively: each round applies operations only to inputs
+that include a class the round before added.  Results of an operation that
+land outside the universe are discarded and recorded through a clip flag,
+never silently.  Universes are closed under subgroups and under
+sub-multisets of primary factors, which is what makes the
+universe-restricted fixed points meaningful.
 
 Explicit subgroups are echelon lattices, so membership and subgroup classes
 take no Smith transform; in a derivation only each stage's canonical
@@ -37,7 +41,17 @@ from .intlinalg import (
     snf,
     solve_echelon,
 )
-from .zmodules import ZModule, ZModuleMap, direct_sum, presentation_matrix, subgroup_type
+from .zmodules import (
+    IdealZ,
+    ZModule,
+    ZModuleMap,
+    direct_sum,
+    is_torsion,
+    presentation_matrix,
+    prime_divisors,
+    subgroup_type,
+    torsion_submodule,
+)
 
 TORSION_ORDER_CAP = 2 ** 14
 CLOSE_MAX_ITERATIONS = 10_000
@@ -93,7 +107,7 @@ class Universe:
     def __contains__(self, module: ZModule) -> bool:
         if module.free_rank > self.max_rank:
             return False
-        factors = module.primary_factors()
+        factors = module.primary_factors
         if len(factors) > self.max_torsion_factors:
             return False
         return all(p in self.primes and e <= self.max_exponent for p, e in factors)
@@ -158,17 +172,24 @@ def _span(orders: tuple[int, ...], gens) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _all_subgroups(orders: tuple[int, ...]) -> tuple[frozenset, ...]:
-    """Every subgroup of the finite group with the given cyclic orders."""
+    """Every subgroup of the finite group with the given cyclic orders.
+
+    Each subgroup found is enlarged by one element x at a time, to
+    sub + <x> = {s + m*x}; the elements of one coset of sub give the same
+    enlargement, so one per coset is tried."""
     elements = _elements(orders)
     zero_sub = frozenset({(0,) * len(orders)})
     found = {zero_sub}
     frontier = [zero_sub]
     while frontier:
         sub = frontier.pop()
+        tried = set(sub)
         for x in elements:
-            if x in sub:
+            if x in tried:
                 continue
-            bigger = _span(orders, set(sub) | {x})
+            tried.update(_add(orders, x, s) for s in sub)
+            multiples = _span(orders, (x,))
+            bigger = frozenset(_add(orders, s, m) for s in sub for m in multiples)
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
@@ -262,7 +283,7 @@ def quotient_types(module: ZModule, universe: Universe) -> frozenset:
 
 @lru_cache(maxsize=None)
 def summand_types(module: ZModule) -> frozenset:
-    factors = module.primary_factors()
+    factors = module.primary_factors
     out = set()
     for rank in range(module.free_rank + 1):
         for size in range(len(factors) + 1):
@@ -311,9 +332,12 @@ def cokernel_types(source: ZModule, target: ZModule,
 
     The image of a map is a subgroup of the target that the source surjects
     onto, so cokernels are quotients of the target by such subgroups.  For a
-    target of free rank 1 the subgroups split into the finite ones (inside
-    the torsion part) and the ones with infinite cyclic projection, indexed
-    by the projection generator d; in-universe quotients bound d, and the
+    target Z + T the subgroups split into the finite ones H (inside T), with
+    quotient Z + T/H, and the ones with projection dZ onto the free part and
+    intersection H with T.  Such an image is abstractly Z + H, and it is
+    generated by H and a lift (t, d); the quotient is the extension of Z/d by
+    T/H with class t in (T/H)/d(T/H), so the quotients over all t are exactly
+    `extension_types(T/H, Z/d)`.  In-universe quotients bound d, and the
     truncation is reported through the clip flag.  Targets of free rank >= 2
     are outside the oracle's scope.
     """
@@ -322,26 +346,17 @@ def cokernel_types(source: ZModule, target: ZModule,
     out = set()
     clipped = False
     tgt_orders = target.torsion
-    subgroups = _all_subgroups(tgt_orders)
-    if target.free_rank == 0:
-        for sub in subgroups:
-            if surjects_onto(source, _subgroup_type(tgt_orders, sub)):
-                out.add(_quotient_type(tgt_orders, sub))
-        return frozenset(out), clipped
-    # target = Z + torsion, generators: torsion gens then the free one
-    k = len(tgt_orders)
-    relations = [[o if i == j else 0 for i in range(k + 1)]
-                 for j, o in enumerate(tgt_orders)]
-    tsize = 1
-    for d in tgt_orders:
-        tsize *= d
     bound = universe.max_torsion_order()
-    for sub in subgroups:
+    for sub in _all_subgroups(tgt_orders):
         sub_type = _subgroup_type(tgt_orders, sub)
-        index = tsize // len(sub)
+        residue = _quotient_type(tgt_orders, sub)
+        if target.free_rank == 0:
+            if surjects_onto(source, sub_type):
+                out.add(residue)
+            continue
         # purely torsion image subgroup: quotient keeps the free generator
         if surjects_onto(source, sub_type):
-            q = direct_sum(ZModule.free(1), _quotient_type(tgt_orders, sub))
+            q = direct_sum(ZModule.free(1), residue)
             if q in universe:
                 out.add(q)
             else:
@@ -351,27 +366,11 @@ def cokernel_types(source: ZModule, target: ZModule,
             continue
         clipped = True  # arbitrarily large d escape the universe
         d = 1
-        while d * index <= bound:
-            for rep in _coset_reps(tgt_orders, sub):
-                cols = [list(rep) + [d]]
-                cols.extend(list(e) + [0] for e in sorted(sub))
-                q = zmodules.from_presentation(
-                    IntMatrix.from_columns(cols + relations, rows=k + 1))
-                if q in universe:
-                    out.add(q)
+        while d * residue.torsion_order() <= bound:
+            out.update(q for q in extension_types(residue, ZModule.cyclic(d))
+                       if q in universe)
             d += 1
     return frozenset(out), clipped
-
-
-def _coset_reps(orders, subgroup) -> list:
-    reps = []
-    seen = set()
-    for e in _elements(orders):
-        if e in seen:
-            continue
-        reps.append(e)
-        seen.update(_add(orders, e, s) for s in subgroup)
-    return reps
 
 
 @lru_cache(maxsize=None)
@@ -455,14 +454,15 @@ def _cocycle_tuples(a_orders, c_tors):
     yield from rec([])
 
 
-@lru_cache(maxsize=None)
-def extension_types(sub: ZModule, quotient: ZModule) -> frozenset:
-    """Middle-term classes of all extensions of `quotient` by `sub`.
+def _cocycle_middle_terms(sub: ZModule, quotient: ZModule) -> frozenset:
+    """Middle-term classes of all extensions of `quotient` by `sub`, by
+    enumeration of cocycle data.
 
-    Extensions are enumerated through cocycle data: each torsion generator of
-    the quotient, of order c, picks its lifted relation value in sub/(c*sub),
-    reduced modulo quotient automorphisms.  The resulting presentation is
-    canonicalized; the split sum is always among the results.
+    Each torsion generator of the quotient, of order c, picks its lifted
+    relation value in sub/(c*sub), reduced modulo quotient automorphisms.
+    The resulting presentation is canonicalized; the split sum is always
+    among the results.  Complete for every pair; `extension_types` calls it
+    on torsion pairs of one prime.
     """
     a_orders = sub.generator_orders
     c_tors = quotient.torsion
@@ -485,6 +485,65 @@ def extension_types(sub: ZModule, quotient: ZModule) -> frozenset:
         pres = IntMatrix(rows, rows=ga + gc, cols=ka + kc)
         out.add(zmodules.from_presentation(pres))
     return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def extension_types(sub: ZModule, quotient: ZModule) -> frozenset:
+    """Middle-term classes of all extensions of `quotient` by `sub`.
+
+    Three exact splitting rules reduce every pair to torsion pairs of one
+    prime, whose cocycles `_cocycle_middle_terms` enumerates:
+
+    - Free part of the quotient: ext(A, Z^c + T) = Z^c + ext(A, T), since
+      an extension of Z^c splits.
+    - Primes of a torsion quotient T, for a sub A = Z^a + T_A: Ext(T, A) is
+      the product over the primes p of T of Ext(T_p, Z^a + A_p), and away
+      from p an extension is split.  So a middle term is Z^a, plus the part
+      of T_A at primes not dividing |T|, plus for each p the torsion of one
+      middle term of ext(Z^a + A_p, T_p).
+    - Free part of the sub, for a p-group T: the middle terms of
+      ext(Z^a + T_A, T) are Z^a + E, where K runs over the subgroups of T
+      such that T/K needs at most a generators and E over ext(T_A, K).  The
+      torsion of a middle term is such an E, with K its image in T;
+      conversely, write T = (Z^a + K)/N with N free of rank a, and the
+      preimage of N in Z^a + E is Z^a + T_A with quotient T.
+
+    The last rule enumerates the elements of the p-group T only; one above
+    TORSION_ORDER_CAP is left to the cocycles, so no pair raises
+    OracleCapError.
+    """
+    if sub.is_zero() or quotient.is_zero():
+        return frozenset({direct_sum(sub, quotient)})
+    if quotient.free_rank:
+        free = ZModule.free(quotient.free_rank)
+        return frozenset(direct_sum(free, e) for e in
+                         extension_types(sub, ZModule(0, quotient.torsion)))
+    rank = sub.free_rank
+    primes = prime_divisors(quotient.torsion[-1])
+    sub_torsion = ZModule(0, sub.torsion)
+    if len(primes) > 1 or not is_torsion(IdealZ(primes[0]), sub_torsion):
+        away = [q ** e for q, e in sub.primary_factors if q not in primes]
+        local = [
+            {ZModule(0, e.torsion) for e in extension_types(
+                direct_sum(ZModule.free(rank), torsion_submodule(IdealZ(p), sub)),
+                torsion_submodule(IdealZ(p), quotient))}
+            for p in primes
+        ]
+        return frozenset(
+            direct_sum(ZModule.from_cyclic_orders(rank, away), *parts)
+            for parts in product(*local)
+        )
+    orders = quotient.torsion
+    if rank == 0 or quotient.torsion_order() > TORSION_ORDER_CAP:
+        return _cocycle_middle_terms(sub, quotient)
+    kernels = {
+        _subgroup_type(orders, k) for k in _all_subgroups(orders)
+        if _quotient_type(orders, k).generator_count <= rank
+    }
+    return frozenset(
+        direct_sum(ZModule.free(rank), e)
+        for k in kernels for e in extension_types(sub_torsion, k)
+    )
 
 
 # -- closures ---------------------------------------------------------------

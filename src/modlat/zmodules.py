@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .intlinalg import (
@@ -157,8 +157,11 @@ class ZModule:
             out *= d
         return out
 
+    @cached_property
     def primary_factors(self) -> tuple[tuple[int, int], ...]:
-        """The multiset of prime-power cyclic summands, as (p, e) pairs."""
+        """The multiset of prime-power cyclic summands, as (p, e) pairs,
+        computed once per instance (the oracle reads it on every universe
+        membership test)."""
         out = []
         for d in self.torsion:
             for p, e in factorize(d).items():
@@ -177,8 +180,10 @@ class ZModule:
 
 def direct_sum(*modules: ZModule) -> ZModule:
     rank = sum(m.free_rank for m in modules)
-    orders = [d for m in modules for d in m.torsion]
-    return ZModule.from_cyclic_orders(rank, orders)
+    torsions = [m.torsion for m in modules if m.torsion]
+    if len(torsions) <= 1:  # one torsion chain is canonical already
+        return ZModule(rank, torsions[0] if torsions else ())
+    return ZModule.from_cyclic_orders(rank, [d for t in torsions for d in t])
 
 
 def from_presentation(a: IntMatrix) -> ZModule:
@@ -234,7 +239,7 @@ def rank(m: ZModule) -> int:
 def length(m: ZModule):
     if m.free_rank > 0:
         return INFINITY
-    return sum(e for _, e in m.primary_factors())
+    return sum(e for _, e in m.primary_factors)
 
 
 def dim(m: ZModule):
@@ -265,7 +270,7 @@ def torsion_submodule(ideal: IdealZ, m: ZModule) -> ZModule:
         return m
     if ideal.is_unit():
         return ZModule.zero()
-    keep = [p ** e for p, e in m.primary_factors() if ideal.n % p == 0]
+    keep = [p ** e for p, e in m.primary_factors if ideal.n % p == 0]
     return ZModule.from_cyclic_orders(0, keep)
 
 
@@ -463,7 +468,7 @@ def coprimary_components(m: ZModule) -> tuple[tuple[PrimeId, ZModule], ...]:
     out = []
     if m.free_rank > 0:
         out.append((PrimeId.z_generic(), ZModule.free(m.free_rank)))
-    primary = m.primary_factors()
+    primary = m.primary_factors
     for p in sorted({q for q, _ in primary}):
         part = [q ** e for q, e in primary if q == p]
         out.append((PrimeId.z_maximal(p), ZModule.from_cyclic_orders(0, part)))

@@ -75,6 +75,18 @@ def test_koszul_command(capsys):
     assert payload["homology"]["1"] == "Z/2"
 
 
+def test_koszul_sequence_may_start_negative(capsys):
+    code, out = run(capsys, "koszul", "-3,5")
+    assert code == 0
+    assert (code, out) == run(capsys, "koszul", "--", "-3,5")
+    assert json.loads(out)["sequence"] == [-3, 5]
+    assert run(capsys, "koszul", "-3,-5,6")[0] == 0
+    code, out = run(capsys, "koszul", "-h")
+    assert code == 0
+    assert out.startswith("usage: modlat koszul")
+    assert main(["koszul", "-x"]) == 2
+
+
 def test_koszul_reduces_each_differential_once(capsys, monkeypatch):
     from modlat import complexes
 

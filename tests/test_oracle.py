@@ -159,6 +159,50 @@ def test_extension_types_against_element_search():
             assert extension_types(a, c) == middle_terms_oracle(a, c), (a, c)
 
 
+THREE_PRIMES = Universe(primes=(2, 3, 5), max_exponent=1, max_rank=2,
+                        max_torsion_factors=2)
+
+
+def test_extension_types_match_cocycle_enumeration():
+    # the splitting rules against the cocycles enumerated on the whole pair:
+    # all 900 acceptance pairs, and the 837 three-prime pairs with at most
+    # 6 generators
+    for universe in (ACCEPT, THREE_PRIMES):
+        members = universe.members()
+        for a in members:
+            for c in members:
+                if a.generator_count + c.generator_count <= 6:
+                    assert extension_types(a, c) == \
+                        oracle._cocycle_middle_terms(a, c), (a, c)
+
+
+def test_extension_types_enumerate_elements_only_in_primary_parts(monkeypatch):
+    # With the cap at 30, Z/5 + Z/15 (order 75) is answered from its primary
+    # parts, and (Z/5)^3 (order 125) from the cocycles, without OracleCapError.
+    members = Universe(primes=(2, 3, 5), max_exponent=1, max_rank=1,
+                       max_torsion_factors=3).members()
+    pairs = [(a, c) for a in members if a.free_rank
+             for c in members if c.free_rank == 0
+             and a.generator_count + c.generator_count <= 5]
+    expected = {pair: extension_types(*pair) for pair in pairs}
+    enumerated = []
+    real = oracle._all_subgroups
+    monkeypatch.setattr(oracle, "_all_subgroups",
+                        lambda orders: enumerated.append(orders) or real(orders))
+    monkeypatch.setattr(oracle, "TORSION_ORDER_CAP", 30)
+    oracle.extension_types.cache_clear()
+    for pair in pairs:
+        assert extension_types(*pair) == expected[pair], pair
+    oracle.extension_types.cache_clear()
+    assert (ZModule.free(1), ZModule.from_cyclic_orders(0, [5, 15])) in expected
+    assert (3, 3, 3) in enumerated
+    for orders in enumerated:
+        assert len(zmodules.prime_divisors(orders[-1])) == 1, orders
+        assert ZModule(0, orders).torsion_order() <= 30, orders
+    assert extension_types(ZModule.free(1), ZModule(0, (5, 5, 5))) == \
+        oracle._cocycle_middle_terms(ZModule.free(1), ZModule(0, (5, 5, 5)))
+
+
 def test_kernel_and_image_types():
     kernels = kernel_types(ZModule.cyclic(4), ZModule.cyclic(2))
     assert kernels == frozenset({ZModule.cyclic(2), ZModule.cyclic(4)})
@@ -324,6 +368,63 @@ def test_operation_tables_match_explicit_map_enumeration():
             assert images == set(image_types(m, n)), (m, n)
             types, _ = oracle.cokernel_types(m, n, ACCEPT)
             assert cokers == set(types), (m, n)
+
+
+def _cokernel_types_by_cosets(source, target, universe):
+    """`oracle.cokernel_types` as one presentation per coset representative:
+    the image with projection dZ and torsion part H is spanned by H, the
+    relations of the target and (rep, d) for a representative of T/H."""
+    assert target.free_rank <= 1
+    out, clipped = set(), False
+    orders = target.torsion
+    for sub in oracle._all_subgroups(orders):
+        sub_type = oracle._subgroup_type(orders, sub)
+        residue = oracle._quotient_type(orders, sub)
+        if target.free_rank == 0:
+            if surjects_onto(source, sub_type):
+                out.add(residue)
+            continue
+        if surjects_onto(source, sub_type):
+            q = direct_sum(ZModule.free(1), residue)
+            if q in universe:
+                out.add(q)
+            else:
+                clipped = True
+        if not surjects_onto(source, direct_sum(ZModule.free(1), sub_type)):
+            continue
+        clipped = True
+        k = len(orders)
+        relations = [[o if i == j else 0 for i in range(k + 1)]
+                     for j, o in enumerate(orders)]
+        reps, seen = [], set()
+        for e in oracle._elements(orders):
+            if e not in seen:
+                reps.append(e)
+                seen.update(tuple((x + y) % o for x, y, o in zip(e, s, orders))
+                            for s in sub)
+        d = 1
+        while d * len(reps) <= universe.max_torsion_order():
+            for rep in reps:
+                cols = [list(rep) + [d]] + [list(e) + [0] for e in sorted(sub)]
+                q = zmodules.from_presentation(
+                    IntMatrix.from_columns(cols + relations, rows=k + 1))
+                if q in universe:
+                    out.add(q)
+            d += 1
+    return frozenset(out), clipped
+
+
+def test_cokernel_types_match_coset_representatives():
+    members = ACCEPT.members()
+    for n in members:
+        for m in members:
+            assert oracle.cokernel_types(m, n, ACCEPT) == \
+                _cokernel_types_by_cosets(m, n, ACCEPT), (m, n)
+    # a target outside the universe, with quotients on both sides of it
+    n = ZModule.from_cyclic_orders(1, [2, 6])
+    for m in (ZModule.free(1), ZModule.cyclic(6), n):
+        assert oracle.cokernel_types(m, n, SMALL) == \
+            _cokernel_types_by_cosets(m, n, SMALL), m
 
 
 def test_operation_tables_cover_maps_with_free_parts():
