@@ -88,7 +88,7 @@ def koszul_complex(sequence) -> FreeComplex:
                 face = sub[:k] + sub[k + 1:]
                 sign = 1 if k % 2 == 0 else -1
                 mat[index[i - 1][face]][col] += sign * xs[j]
-        diffs.append(IntMatrix(mat, rows=rows, cols=cols))
+        diffs.append(IntMatrix._from_rows(mat, rows, cols))
     return FreeComplex(0, tuple(len(level) for level in bases), tuple(diffs))
 
 

@@ -6,13 +6,21 @@ for the rest of the package: Smith diagonals give canonical forms of
 finitely generated abelian groups, kernels of module maps and the homology
 of free complexes; column-echelon bases with forward substitution give
 subgroup classes and membership.  Full Smith forms with their transforms
-serve only the callers that read generators or U and V.
+serve only the callers that read generators or U and V; they also record
+their row operations, so U^-1 comes from the same elimination.
+
+`IntMatrix(...)` coerces every entry with `operator.index` and checks the
+shape.  Matrices the package computes from its own ints are built once,
+without either, by the private `IntMatrix._from_rows`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
+from operator import index
+
+_set = object.__setattr__
 
 
 class IntMatrix:
@@ -21,7 +29,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, rows: int | None = None, cols: int | None = None):
-        tup = tuple(tuple(int(x) for x in row) for row in data)
+        tup = tuple(tuple(map(index, row)) for row in data)
         if rows is None:
             rows = len(tup)
         if cols is None:
@@ -32,20 +40,30 @@ class IntMatrix:
             raise ValueError(f"expected {rows} rows, got {len(tup)}")
         if any(len(row) != cols for row in tup):
             raise ValueError("rows have unequal lengths")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", tup)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "data", tup)
+
+    @classmethod
+    def _from_rows(cls, data, rows: int, cols: int) -> "IntMatrix":
+        """A matrix of ints the package computed itself: `data` holds exactly
+        `rows` sequences of `cols` ints, so nothing is coerced or checked."""
+        self = object.__new__(cls)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "data", tuple(map(tuple, data)))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows=rows, cols=cols)
+        return cls._from_rows([(0,) * cols] * rows, rows, cols)
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "IntMatrix":
@@ -82,7 +100,7 @@ class IntMatrix:
                 if x:
                     acc = [y + x * z for y, z in zip(acc, right)]
             out.append(acc)
-        return IntMatrix(out, rows=self.rows, cols=other.cols)
+        return IntMatrix._from_rows(out, self.rows, other.cols)
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix([[c * x for x in row] for row in self.data], rows=self.rows, cols=self.cols)
@@ -117,23 +135,44 @@ class IntMatrix:
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
-    return IntMatrix(
-        [list(a.data[i]) + list(b.data[i]) for i in range(a.rows)],
-        rows=a.rows,
-        cols=a.cols + b.cols,
-    )
+    return IntMatrix._from_rows(
+        [ra + rb for ra, rb in zip(a.data, b.data)], a.rows, a.cols + b.cols)
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Unimodular U, V with U @ A @ V == D, D diagonal with d_i | d_{i+1}."""
+    """Unimodular U, V with U @ A @ V == D, D diagonal with d_i | d_{i+1}.
+
+    `row_ops` are the row operations that built U from the identity, in
+    order: (i, k, c) adds c times row k to row i, (i, k) swaps rows i and
+    k, and (i,) negates row i.
+    """
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+    row_ops: tuple = field(compare=False, repr=False)
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
+
+    def u_inverse(self) -> IntMatrix:
+        """U^-1 without a second elimination.  U = E_k ... E_1 for the row
+        operations E_1, ..., E_k, so U^-1 = E_1^-1 ... E_k^-1: starting from
+        the identity, each operation in turn is undone as a column operation.
+        """
+        m = self.u.rows
+        cols = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
+        for op in self.row_ops:
+            if len(op) == 3:
+                i, k, c = op
+                cols[k] = [y - c * z for y, z in zip(cols[k], cols[i])]
+            elif len(op) == 2:
+                i, k = op
+                cols[i], cols[k] = cols[k], cols[i]
+            else:
+                cols[op[0]] = [-y for y in cols[op[0]]]
+        return IntMatrix._from_rows(zip(*cols), m, m)
 
 
 PIVOT_STRATEGIES = ("min_abs", "first_nonzero")
@@ -168,9 +207,11 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
     d = [list(row) for row in a.data]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    ops = []
 
     def row_add(i, k, c):
         # row_i += c * row_k
+        ops.append((i, k, c))
         di, dk = d[i], d[k]
         for j in range(n):
             di[j] += c * dk[j]
@@ -186,6 +227,7 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
             v[i][j] += c * v[i][k]
 
     def row_swap(i, k):
+        ops.append((i, k))
         d[i], d[k] = d[k], d[i]
         u[i], u[k] = u[k], u[i]
 
@@ -196,6 +238,7 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
             v[i][j], v[i][k] = v[i][k], v[i][j]
 
     def row_negate(i):
+        ops.append((i,))
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
 
@@ -243,9 +286,10 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
         t += 1
 
     return SmithDecomposition(
-        IntMatrix(u, rows=m, cols=m),
-        IntMatrix(d, rows=m, cols=n),
-        IntMatrix(v, rows=n, cols=n),
+        IntMatrix._from_rows(u, m, m),
+        IntMatrix._from_rows(d, m, n),
+        IntMatrix._from_rows(v, n, n),
+        tuple(ops),
     )
 
 
@@ -412,12 +456,8 @@ def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """Integer solution X of a @ X == b, or None when none exists."""
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
-    return _solve_smith(snf(a), b)
-
-
-def _solve_smith(dec: SmithDecomposition, b: IntMatrix) -> IntMatrix | None:
-    """`solve(a, b)` given `dec = snf(a)`."""
-    rows, cols = dec.d.shape
+    dec = snf(a)
+    rows, cols = a.shape
     c = dec.u @ b
     diag = dec.diagonal()
     y = [[0] * b.cols for _ in range(cols)]
@@ -433,13 +473,12 @@ def _solve_smith(dec: SmithDecomposition, b: IntMatrix) -> IntMatrix | None:
                     return None
                 if i < cols:
                     y[i][j] = cij // di
-    return dec.v @ IntMatrix(y, rows=cols, cols=b.cols)
+    return dec.v @ IntMatrix._from_rows(y, cols, b.cols)
 
 
 def column_basis(a: IntMatrix) -> IntMatrix:
     """Basis of the lattice spanned by the columns of `a` (echelon columns)."""
-    work = [list(a.column(j)) for j in range(a.cols)]
-    work = [c for c in work if any(c)]
+    work = [list(c) for c in zip(*a.data) if any(c)]
     basis = []
     for r in range(a.rows):
         live = [c for c in work if c[r] != 0]
@@ -457,7 +496,26 @@ def column_basis(a: IntMatrix) -> IntMatrix:
             if col[r] < 0:
                 col[:] = [-x for x in col]
             basis.append(col)
-    return IntMatrix.from_columns(basis, rows=a.rows)
+    return IntMatrix._from_rows(
+        [[c[i] for c in basis] for i in range(a.rows)], a.rows, len(basis))
+
+
+def echelon_pivots(basis: IntMatrix) -> tuple[list, list[int]]:
+    """The columns of a `column_basis` result and their pivot rows."""
+    cols = [basis.column(k) for k in range(basis.cols)]
+    return cols, [next(i for i, v in enumerate(col) if v) for col in cols]
+
+
+def forward_substitute(cols, pivots, rest: list[int]) -> list[int]:
+    """Coefficients of the echelon `cols` by forward substitution into the
+    column `rest`, which is left holding the residue."""
+    out = []
+    for col, r in zip(cols, pivots):
+        q = rest[r] // col[r]
+        if q:
+            rest[r:] = [y - q * c for y, c in zip(rest[r:], col[r:])]
+        out.append(q)
+    return out
 
 
 def solve_echelon(basis: IntMatrix, b: IntMatrix) -> IntMatrix | None:
@@ -471,17 +529,14 @@ def solve_echelon(basis: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """
     if basis.rows != b.rows:
         raise ValueError("row count mismatch")
-    cols = [basis.column(k) for k in range(basis.cols)]
-    pivots = [next(i for i, v in enumerate(col) if v) for col in cols]
-    x = [[0] * b.cols for _ in cols]
+    cols, pivots = echelon_pivots(basis)
+    x = []
     for j in range(b.cols):
         rest = list(b.column(j))
-        for k, (col, r) in enumerate(zip(cols, pivots)):
-            q = x[k][j] = rest[r] // col[r]
-            rest[r:] = [y - q * c for y, c in zip(rest[r:], col[r:])]
+        x.append(forward_substitute(cols, pivots, rest))
         if any(rest):
             return None
-    return IntMatrix(x, rows=basis.cols, cols=b.cols)
+    return IntMatrix._from_rows(zip(*x) if x else [()] * basis.cols, basis.cols, b.cols)
 
 
 def det(a: IntMatrix) -> int:

@@ -88,7 +88,7 @@ def parse_int_matrix(text: str) -> IntMatrix:
         raise LiteralError(text, 0, "a JSON array of integer rows")
     for row in data:
         for x in row:
-            if not isinstance(x, int):
+            if type(x) is not int:  # JSON true and false load as bool
                 raise LiteralError(text, 0, "integer entries")
     return IntMatrix(data)
 

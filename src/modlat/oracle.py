@@ -19,9 +19,9 @@ never silently.  Universes are closed under subgroups and under
 sub-multisets of primary factors, which is what makes the
 universe-restricted fixed points meaningful.
 
-Explicit subgroups are echelon lattices, so membership and subgroup classes
-take no Smith transform; in a derivation only each stage's canonical
-generators and colon step do.
+Explicit subgroups are echelon lattices, so membership, subgroup classes
+and each derivation stage's colon step take no Smith transform; only each
+stage's canonical generators take one, with U^-1 from the same elimination.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from math import gcd
 from . import zmodules
 from .intlinalg import (
     IntMatrix,
-    _solve_smith,
     column_basis,
+    echelon_pivots,
+    forward_substitute,
     hstack,
-    invert_unimodular,
     snf,
     solve_echelon,
 )
@@ -482,7 +482,7 @@ def _cocycle_middle_terms(sub: ZModule, quotient: ZModule) -> frozenset:
                 else:
                     row.append(c_tors[j] if (i - ga) == j else 0)
             rows.append(row)
-        pres = IntMatrix(rows, rows=ga + gc, cols=ka + kc)
+        pres = IntMatrix._from_rows(rows, ga + gc, ka + kc)
         out.add(zmodules.from_presentation(pres))
     return frozenset(out)
 
@@ -574,16 +574,14 @@ _OPERATIONS = {
 
 
 def _applications(kind: str, members, universe: Universe, new):
-    """(inputs, result) for every application of one operation to `members`
-    that has an input in `new`: inputs in the order of `members`, the
-    results of one application in str order."""
+    """(inputs, results) for every application of one operation to
+    `members` that has an input in `new`, inputs in the order of `members`."""
     if kind not in _OPERATIONS:
         raise ValueError(f"unknown closure kind {kind!r}")
     arity, apply = _OPERATIONS[kind]
     for inputs in product(members, repeat=arity):
         if any(m in new for m in inputs):
-            for result in sorted(apply(universe, *inputs), key=str):
-                yield inputs, result
+            yield inputs, apply(universe, *inputs)
 
 
 @dataclass(frozen=True)
@@ -621,11 +619,10 @@ def close(generators, kinds, universe: Universe) -> ClosureResult:
             raise OracleCapError("closure fixed point exceeded the iteration cap")
         produced = set()
         for kind in kinds:
-            for _, result in _applications(kind, current, universe, fresh):
-                if result is None:
-                    clipped = True
-                else:
-                    produced.add(result)
+            for _, results in _applications(kind, current, universe, fresh):
+                produced |= results
+        clipped = clipped or None in produced
+        produced.discard(None)
         fresh = produced - current
         current |= fresh
     return ClosureResult(frozenset(current), clipped, iterations)
@@ -640,9 +637,10 @@ def check_closed(subset, kind: str, universe: Universe):
     """
     subset = frozenset(subset)
     ordered = sorted(subset, key=lambda m: (m.free_rank, m.torsion))
-    for inputs, result in _applications(kind, ordered, universe, subset):
-        if result is not None and result not in subset:
-            return False, (inputs, result)
+    for inputs, results in _applications(kind, ordered, universe, subset):
+        escaped = [r for r in results if r is not None and r not in subset]
+        if escaped:
+            return False, (inputs, min(escaped, key=str))
     return True, None
 
 
@@ -670,18 +668,31 @@ class _Subgroup:
         Returns d >= 0 generating {a : a * x lies in the subgroup}, so that
         stage/subgroup = Z/d, and the image a of each of the `stage_gens`
         columns: v = (element of the subgroup) + a * x determines a modulo d.
-        Both read one Smith form of [x | basis]: the first row of its kernel
-        basis generates the colon ideal, and a solve gives the coefficients.
+
+        Both read one `column_basis` of the lattice in Z^(g+1) spanned by
+        (x; 1) and (basis; 0), whose elements are (a * x + b; a) with b in
+        the subgroup.  Its vectors (0; a) are those with a * x in the
+        subgroup, so its last-row pivot is d, or there is none and d = 0.
+        For v = b + a * x, (v; 0) is (a * x + b; a) - (0; a), so forward
+        substitution through the other pivots leaves (0; c * d - a): a is
+        minus the last-row residue, modulo d.
         """
-        dec = snf(hstack(x, self.basis))
-        rank = sum(1 for v in dec.diagonal() if v)
+        g, k = self.basis.shape
+        rows = [(xi,) + row for xi, row in zip(x.column(0), self.basis.data)]
+        rows.append((1,) + (0,) * k)
+        cols, pivots = echelon_pivots(column_basis(IntMatrix._from_rows(rows, g + 1, k + 1)))
         d = 0
-        for v in dec.v.row(0)[rank:]:
-            d = gcd(d, v)
-        sol = _solve_smith(dec, stage_gens)
-        if sol is None:
-            raise AssertionError("stage generator escaped stage = below + Z*x")
-        return d, [a % d if d else a for a in sol.data[0]]
+        if pivots and pivots[-1] == g:
+            d = cols.pop()[g]
+            pivots.pop()
+        coeffs = []
+        for j in range(stage_gens.cols):
+            rest = list(stage_gens.column(j)) + [0]
+            forward_substitute(cols, pivots, rest)
+            if any(rest[:g]):
+                raise AssertionError("stage generator escaped stage = below + Z*x")
+            coeffs.append(-rest[g] % d if d else -rest[g])
+        return d, coeffs
 
     def relations(self) -> IntMatrix:
         """The ambient relations in lattice coordinates: a presentation of
@@ -701,12 +712,11 @@ class _Subgroup:
         """
         x = self.relations()
         dec = snf(x)
-        u_inv = invert_unimodular(dec.u)
         diag = dec.diagonal() + (0,) * (x.rows - min(x.shape))
         keep = [i for i, d in enumerate(diag) if d != 1]
         module = ZModule(diag.count(0), tuple(d for d in diag if d > 1))
-        gens = IntMatrix.from_columns([u_inv.column(i) for i in keep], rows=x.rows)
-        return module, self.basis @ gens
+        gens = [[row[i] for i in keep] for row in dec.u_inverse().data]
+        return module, self.basis @ IntMatrix._from_rows(gens, x.rows, len(keep))
 
 
 @dataclass(frozen=True)
@@ -819,7 +829,7 @@ def derive_submodule(ambient: ZModule, gens: IntMatrix) -> DerivationTrace:
                     "summand", (len(steps) - 1,), _killing_endo(q, kill), quotient_type
                 ))
                 quotient_idx = len(steps) - 1
-        pi = IntMatrix([coeffs], rows=1, cols=stage_type.generator_count)
+        pi = IntMatrix._from_rows([coeffs], 1, stage_type.generator_count)
         below_type = (forms[pos - 2][0] if pos > 1
                       else zmodules.from_presentation(below.relations()))
         steps.append(TraceStep(
@@ -832,4 +842,4 @@ def derive_submodule(ambient: ZModule, gens: IntMatrix) -> DerivationTrace:
 def _killing_endo(module: ZModule, index: int) -> IntMatrix:
     g = module.generator_count
     rows = [[1 if (i == j and i != index) else 0 for j in range(g)] for i in range(g)]
-    return IntMatrix(rows, rows=g, cols=g)
+    return IntMatrix._from_rows(rows, g, g)

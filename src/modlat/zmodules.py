@@ -195,10 +195,9 @@ def from_presentation(a: IntMatrix) -> ZModule:
 def presentation_matrix(m: ZModule) -> IntMatrix:
     """Relations of the canonical presentation (one column per torsion factor)."""
     k = len(m.torsion)
-    rows = []
-    for i in range(m.generator_count):
-        rows.append([m.torsion[i] if (i < k and i == j) else 0 for j in range(k)])
-    return IntMatrix(rows, rows=m.generator_count, cols=k)
+    rows = [[m.torsion[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    rows += [[0] * k] * m.free_rank
+    return IntMatrix._from_rows(rows, m.generator_count, k)
 
 
 # -- invariants ---------------------------------------------------------
@@ -382,7 +381,7 @@ class ZModuleMap:
                         f"relation not respected: order-{d} generator {j} "
                         f"maps outside the target relations"
                     )
-        object.__setattr__(self, "matrix", IntMatrix(reduced, rows=gt, cols=gs))
+        object.__setattr__(self, "matrix", IntMatrix._from_rows(reduced, gt, gs))
 
 
 def identity_map(m: ZModule) -> ZModuleMap:
@@ -403,8 +402,9 @@ def kernel(f: ZModuleMap) -> ZModule:
     Z^(n_1 - rk d_1 - rk d_2) plus the nonunit invariant factors of d_2.
     """
     s, t = f.source.torsion, f.target.torsion
-    d2 = IntMatrix(list(presentation_matrix(f.source).data) + [
-        [-(f.matrix[i, j] * s[j] // t[i]) for j in range(len(s))] for i in range(len(t))])
+    d2 = IntMatrix._from_rows(presentation_matrix(f.source).data + tuple(
+        [-(f.matrix[i, j] * s[j] // t[i]) for j in range(len(s))] for i in range(len(t))),
+        f.source.generator_count + len(t), len(s))
     free, factors = cokernel_structure(d2)
     d1 = hstack(f.matrix, presentation_matrix(f.target))
     return ZModule(free - sum(1 for x in smith_diagonal(d1) if x), factors)

@@ -229,6 +229,25 @@ def test_oracle_derive_output_pinned(capsys, ambient, sub):
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+# stdout of `modlat oracle derive`, byte for byte: two torsion ambients and
+# one with a free part, where a stage's quotient is infinite cyclic
+_ORACLE_DERIVE_GOLDEN = {
+    "derive_torsion_three_factors.json": ("Z/4 + Z/12 + Z/36", "2*g0+3*g1; 6*g2"),
+    "derive_torsion_two_factors.json": ("Z/6 + Z/18", "g0+4*g1; 3*g1"),
+    "derive_free_part.json": ("Z^2 + Z/6", "3*g0+2*g1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_DERIVE_GOLDEN))
+def test_oracle_derive_golden_stdout(capsys, name):
+    ambient, sub = _ORACLE_DERIVE_GOLDEN[name]
+    code, out = run(capsys, "oracle", "derive", "--ambient", ambient, f"--sub={sub}")
+    assert code == 0
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 def test_suite_vars_reach_the_monomial_reports(capsys):
     code, payload = run_json(capsys, "suite", "--only", "roundtrip",
                              "--vars", "a,b", "--trials", "5")
@@ -270,6 +289,16 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _ = run(capsys, "module", "--backend", "monomial", "Z/2")
     assert code == 2
+
+
+def test_snf_rejects_json_booleans(capsys):
+    code = main(["snf", "[[true, 2], [3, 4]]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "integer entries" in lines[0]
 
 
 def test_text_format(capsys):

@@ -12,10 +12,13 @@ from math import comb, gcd
 import pytest
 
 from modlat.intlinalg import (
+    PIVOT_STRATEGIES,
     IntMatrix,
+    SmithDecomposition,
     cokernel_structure,
     column_basis,
     det,
+    hstack,
     invert_unimodular,
     kernel_basis,
     smith_diagonal,
@@ -264,6 +267,98 @@ def test_matrix_shape_validation():
     assert m == IntMatrix([[], [], []], rows=3, cols=0) == IntMatrix.zeros(3, 0)
     with pytest.raises(ValueError, match="expected 3 rows, got 0"):
         IntMatrix([], rows=3, cols=2)
+
+
+def test_public_constructor_rejects_non_integers():
+    # entries are coerced with operator.index, so nothing is truncated or parsed
+    with pytest.raises(TypeError):
+        IntMatrix([[2.7, 5]])
+    with pytest.raises(TypeError):
+        IntMatrix([[2, "5"]])
+    m = IntMatrix([[True, 2], [3, False]])
+    assert m == IntMatrix([[1, 2], [3, 0]])
+    assert all(type(x) is int for row in m.data for x in row)
+
+
+def _seeded_matrices(tag, count=60):
+    rng = random.Random(tag)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)]
+    shapes += [(rng.randrange(1, 8), rng.randrange(1, 8)) for _ in range(count)]
+    for rows, cols in shapes:
+        yield IntMatrix([[rng.randint(-20, 20) if rng.random() < 0.7 else 0
+                          for _ in range(cols)] for _ in range(rows)],
+                        rows=rows, cols=cols)
+
+
+@pytest.mark.parametrize("strategy", PIVOT_STRATEGIES)
+def test_u_inverse_from_recorded_row_operations(strategy):
+    for a in _seeded_matrices(f"u-inverse:{strategy}"):
+        dec = snf(a, strategy)
+        inv = dec.u_inverse()
+        assert inv == invert_unimodular(dec.u)
+        assert inv @ dec.u == IntMatrix.identity(a.rows)
+        # U^-1 @ D @ V^-1 recovers the input
+        assert inv @ dec.d @ invert_unimodular(dec.v) == a
+
+
+def test_row_operations_do_not_enter_equality_or_repr():
+    a = IntMatrix([[2, 4], [6, 8]])
+    dec = snf(a)
+    assert dec.row_ops
+    bare = SmithDecomposition(dec.u, dec.d, dec.v, ())
+    assert bare == dec and hash(bare) == hash(dec)
+    assert repr(bare) == repr(dec) and "row_ops" not in repr(dec)
+
+
+def _built_as_public(m):
+    """A matrix from the private constructor equals, and hashes like, the
+    public constructor's copy, and holds tuples of exact ints."""
+    public = IntMatrix(m.to_lists(), rows=m.rows, cols=m.cols)
+    assert m == public and hash(m) == hash(public)
+    assert type(m.data) is tuple and len(m.data) == m.rows
+    assert all(type(row) is tuple and len(row) == m.cols for row in m.data)
+    assert all(type(x) is int for row in m.data for x in row)
+
+
+def test_private_constructor_matches_public(monkeypatch):
+    from modlat import complexes, oracle, zmodules
+    from modlat.zmodules import ZModule
+
+    for a in _seeded_matrices("private-constructor", count=30):
+        _built_as_public(a @ IntMatrix.identity(a.cols))
+        _built_as_public(a @ IntMatrix.zeros(a.cols, 2))
+        _built_as_public(hstack(a, IntMatrix.zeros(a.rows, 1)))
+        _built_as_public(column_basis(a))
+        dec = snf(a)
+        for part in (dec.u, dec.d, dec.v, dec.u_inverse()):
+            _built_as_public(part)
+        b = a @ IntMatrix([[1, -2, 0]] * a.cols, rows=a.cols, cols=3)
+        _built_as_public(solve(a, b))
+        _built_as_public(solve_echelon(column_basis(a), b))
+    for n in (0, 1, 4):
+        _built_as_public(IntMatrix.identity(n))
+        _built_as_public(IntMatrix.zeros(n, 2))
+        _built_as_public(IntMatrix.zeros(2, n))
+    for d in complexes.koszul_complex([4, 6, 10]).differentials:
+        _built_as_public(d)
+
+    built = []
+    real = zmodules.cokernel_structure
+    monkeypatch.setattr(zmodules, "cokernel_structure",
+                        lambda a: built.append(a) or real(a))
+    for module in (ZModule(0, ()), ZModule(2, ()), ZModule(1, (2, 6)), ZModule(0, (3, 9))):
+        _built_as_public(zmodules.presentation_matrix(module))
+        g = module.generator_count
+        f = zmodules.ZModuleMap(module, module,
+                                IntMatrix.identity(g).scale(5))
+        _built_as_public(f.matrix)
+        built.clear()
+        zmodules.kernel(f)
+        _built_as_public(built[0])  # the d2 of the cone
+    trace = oracle.derive_submodule(ZModule(1, (2, 4)), IntMatrix([[1], [2], [3]]))
+    for step in trace.steps:
+        if step.matrix is not None:
+            _built_as_public(step.matrix)
 
 
 def test_matmul_matches_triple_sum():

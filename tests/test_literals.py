@@ -115,6 +115,8 @@ def test_parse_matrix():
     assert parse_int_matrix("[]").shape == (0, 0)
     with pytest.raises(LiteralError):
         parse_int_matrix("[[2.5]]")
+    with pytest.raises(LiteralError, match="integer entries"):
+        parse_int_matrix("[[true, 2], [3, 4]]")
     with pytest.raises(LiteralError):
         parse_int_matrix("{}")
 

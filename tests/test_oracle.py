@@ -7,6 +7,7 @@ against the criterion sets they classify.
 
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -536,11 +537,14 @@ def test_derive_submodule_random():
         assert all(s.op in allowed for s in trace.steps)
 
 
-def test_derivation_inverts_one_transform_per_stage(monkeypatch):
-    inverted = []
-    real = oracle.invert_unimodular
-    monkeypatch.setattr(oracle, "invert_unimodular",
-                        lambda a: inverted.append(a) or real(a))
+def test_derivation_takes_one_snf_per_kernel_step_and_no_inverse(monkeypatch):
+    # each stage's canonical generators take one Smith form, which also
+    # gives U^-1; the colon step takes none
+    forms, inverted = [], []
+    real_snf = oracle.snf
+    monkeypatch.setattr(oracle, "snf", lambda a: forms.append(a) or real_snf(a))
+    monkeypatch.setattr(intlinalg, "invert_unimodular",
+                        lambda a: inverted.append(a))
     rng = random.Random("derive-stages")
     stages = set()
     for _ in range(30):
@@ -548,12 +552,55 @@ def test_derivation_inverts_one_transform_per_stage(monkeypatch):
             rng.randrange(2), [rng.choice((2, 3, 4, 6)) for _ in range(2)])
         g = ambient.generator_count
         gens = IntMatrix.from_columns([[rng.randint(-2, 2) for _ in range(g)]], rows=g)
-        inverted.clear()
+        forms.clear()
         trace = derive_submodule(ambient, gens)
         kernels = sum(s.op == "kernel" for s in trace.steps)
-        assert len(inverted) == kernels
+        assert len(forms) == kernels
         stages.add(kernels)
+    assert not inverted
     assert {1, 2} <= stages
+
+
+def _step_by_smith_form(below, x, stage_gens):
+    """`_Subgroup.step` as the Smith form of [x | basis] reads it: the first
+    row of its kernel basis generates the colon ideal, and a solve through
+    the same form gives the coefficients."""
+    a = intlinalg.hstack(x, below.basis)
+    dec = intlinalg.snf(a)
+    rank = sum(1 for v in dec.diagonal() if v)
+    d = 0
+    for v in dec.v.row(0)[rank:]:
+        d = gcd(d, v)
+    sol = intlinalg.solve(a, stage_gens)
+    assert sol is not None
+    return d, [c % d if d else c for c in sol.row(0)]
+
+
+def test_step_matches_the_smith_form_reference():
+    rng = random.Random("step-reference")
+    free_quotients = steps = 0
+    for trial in range(80):
+        ambient = ZModule.from_cyclic_orders(
+            trial % 3, [rng.choice((2, 3, 4, 6, 9, 12)) for _ in range(rng.randrange(3))])
+        g = ambient.generator_count
+        if g == 0:
+            continue
+        gens = IntMatrix.from_columns(
+            [[rng.randint(-4, 4) for _ in range(g)] for _ in range(rng.randint(1, 2))],
+            rows=g)
+        below = oracle._Subgroup(ambient, subgroup_lattice(ambient, gens))
+        for i in range(g):
+            x = IntMatrix.from_columns([[1 if r == i else 0 for r in range(g)]], rows=g)
+            if below.contains(x):
+                continue
+            stage = below.with_element(x)
+            _, stage_gens = stage.canonical_generators()
+            d, coeffs = below.step(x, stage_gens)
+            assert (d, coeffs) == _step_by_smith_form(below, x, stage_gens)
+            free_quotients += d == 0
+            steps += 1
+            below = stage
+    assert steps > 100 and free_quotients > 10
 
 
 def test_kernels_and_subgroup_classes_take_no_smith_transform(monkeypatch):
