@@ -33,14 +33,15 @@ from .spectrum import PrimeId, Z_BACKEND, monomial_backend
 KIND_BY_NAME = {k.value: k for k in ClosureKind}
 # Input caps, checked before any work.  A length-r Koszul sequence builds
 # differentials of up to C(r, r/2) rows, and each term past 7 makes the table
-# about five times slower: seeded two-digit terms took at most 0.05 s at
-# length 8, 0.22 s at length 9 and 1.2 s at length 10 (one Xeon vCPU).  The
-# elimination works modulo a minor that is a product of up to C(r-1, r/2)
-# terms, so time also grows with the terms' size: seeded length-8 sequences
-# of 10- and 20-digit terms took at most 0.46 s, and ones whose terms all
-# share a prime with the smallest, so that no entry is a unit modulo the
-# minor, up to 3 s.  A full Smith form keeps unreduced transforms: dense
-# 20x20 matrices with entries in [-9, 9] took up to a second.
+# about five times slower: seeded two-digit terms took at most 0.04 s at
+# length 8, 0.24 s at length 9 and 1.2 s at length 10 (CPU time, one Xeon
+# vCPU).  The elimination works modulo a minor that is a product of up to
+# C(r-1, r/2) terms, so time also grows with the terms' size: seeded
+# length-8 sequences of 10- and 20-digit terms took at most 0.23 s, and ones
+# whose terms all share a prime with the smallest, so that no entry is a
+# unit modulo the minor, up to 1.8 s.  A full Smith form keeps unreduced
+# transforms: dense 20x20 matrices with entries in [-9, 9] took a median of
+# 6 ms and up to 0.2 s over 2,000.
 KOSZUL_MAX_LENGTH = 8
 KOSZUL_MAX_DIGITS = 20
 SNF_MAX_DIM = 20

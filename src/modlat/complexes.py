@@ -16,6 +16,7 @@ which is fixed once and for all so outputs are deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -72,8 +73,11 @@ class FreeComplex:
 
 
 def koszul_complex(sequence) -> FreeComplex:
-    """The exterior-algebra Koszul complex of an integer sequence."""
-    xs = [int(x) for x in sequence]
+    """The exterior-algebra Koszul complex of an integer sequence.
+
+    Terms are taken with `operator.index`, as `IntMatrix(...)` takes its
+    entries, so a non-integer term raises TypeError."""
+    xs = list(map(operator.index, sequence))
     if not xs:
         raise ValueError("Koszul complex of an empty sequence")
     r = len(xs)
@@ -164,9 +168,11 @@ def koszul_cyclic_check(n: int, generators) -> KoszulCyclicReport:
 
     Checks: degree-zero homology is Z/n; every homology module is killed by
     n; every homology module is supported in the vanishing locus of (n).
-    The generators must actually generate (n).
+    The generators must actually generate (n); n and the generators are
+    taken with `operator.index`, like the terms of `koszul_complex`.
     """
-    gens = [int(g) for g in generators]
+    n = operator.index(n)
+    gens = list(map(operator.index, generators))
     if not gens:
         raise ValueError("empty generating set")
     g = 0

@@ -186,6 +186,8 @@ def _find_pivot(d, m, n, t, strategy):
         x = min(filter(None, d[i][t:n]), key=abs, default=0)
         if x and (best is None or abs(x) < abs(d[best[0]][best[1]])):
             best = (i, d[i].index(x, t))
+            if x in (1, -1):
+                break  # |x| = 1 is least, and a tie keeps the first
     return best
 
 
@@ -197,6 +199,15 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
     (limits growth), "first_nonzero" takes the first in row-major order.  Both
     produce the same diagonal, which the test suite uses as a cross-check.
 
+    Each working row holds a row of D followed by the same row of U, so a
+    row operation is one pass over both.  Step t starts with rows and
+    columns before t zero off the diagonal, so that pass starts at column t,
+    and a column operation runs over rows t onward; while column t is zero
+    below the pivot, a column operation changes only row t.  V is kept as
+    its list of columns, so a column operation on it is one pass too.  No
+    work is skipped that could change an entry: U, D, V and the row
+    operations are those of the plain elimination.
+
     Returns:
         SmithDecomposition with u @ a @ v == d, |det u| == |det v| == 1,
         nonnegative diagonal satisfying the divisibility chain.
@@ -204,43 +215,30 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
     if strategy not in PIVOT_STRATEGIES:
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     m, n = a.rows, a.cols
-    d = [list(row) for row in a.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # Row i is [row i of D | row i of U]; D's columns are 0 .. n-1.
+    d = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a.data)]
+    vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     ops = []
 
     def row_add(i, k, c):
         # row_i += c * row_k
         ops.append((i, k, c))
-        di, dk = d[i], d[k]
-        for j in range(n):
-            di[j] += c * dk[j]
-        ui, uk = u[i], u[k]
-        for j in range(m):
-            ui[j] += c * uk[j]
+        d[i][t:] = [x + c * y for x, y in zip(d[i][t:], d[k][t:])]
 
-    def col_add(j, k, c):
+    def col_add(j, k, c, top_only):
         # col_j += c * col_k
-        for i in range(m):
-            d[i][j] += c * d[i][k]
-        for i in range(n):
-            v[i][j] += c * v[i][k]
+        for row in (d[t],) if top_only else d[t:]:
+            row[j] += c * row[k]
+        vt[j] = [x + c * y for x, y in zip(vt[j], vt[k])]
 
     def row_swap(i, k):
         ops.append((i, k))
         d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
 
     def col_swap(j, k):
-        for i in range(m):
-            d[i][j], d[i][k] = d[i][k], d[i][j]
-        for i in range(n):
-            v[i][j], v[i][k] = v[i][k], v[i][j]
-
-    def row_negate(i):
-        ops.append((i,))
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+        for row in d[t:]:
+            row[j], row[k] = row[k], row[j]
+        vt[j], vt[k] = vt[k], vt[j]
 
     t = 0
     while t < min(m, n):
@@ -261,69 +259,89 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
                         row_add(i, t, -q)
                     if d[i][t] != 0:
                         row_swap(i, t)
+            clean = True  # column t is zero below the pivot
             for j in range(t + 1, n):
                 while d[t][j] != 0:
                     q = d[t][j] // d[t][t]
                     if q:
-                        col_add(j, t, -q)
+                        col_add(j, t, -q, clean)
                     if d[t][j] != 0:
                         col_swap(j, t)
-            if any(d[i][t] != 0 for i in range(t + 1, m)):
+                        clean = not any(row[t] for row in d[t + 1:])
+            if not clean:
                 continue
             # Pivot must divide the rest of the block for the chain to hold.
             p = d[t][t]
             bad = None
-            for i in range(t + 1, m):
-                row = d[i]
-                if any(row[j] % p for j in range(t + 1, n)):
-                    bad = i
-                    break
+            if p not in (1, -1):
+                for i in range(t + 1, m):
+                    row = d[i]
+                    if any(row[j] % p for j in range(t + 1, n)):
+                        bad = i
+                        break
             if bad is None:
                 break
             row_add(t, bad, 1)
         if d[t][t] < 0:
-            row_negate(t)
+            ops.append((t,))
+            d[t][t] = -d[t][t]
+            d[t][n:] = [-x for x in d[t][n:]]
         t += 1
 
     return SmithDecomposition(
-        IntMatrix._from_rows(u, m, m),
-        IntMatrix._from_rows(d, m, n),
-        IntMatrix._from_rows(v, n, n),
+        IntMatrix._from_rows([row[n:] for row in d], m, m),
+        IntMatrix._from_rows([row[:n] for row in d], m, n),
+        IntMatrix._from_rows(zip(*vt), n, n),
         tuple(ops),
     )
 
 
-def _rank_and_minor(d, m, n) -> tuple[int, int]:
-    """Rank r of the rows `d` and |M| for a nonzero r x r minor M.
+def _rank_and_minor(rows) -> tuple[int, int]:
+    """Rank r of the matrix with rows `rows`, and |M| for a nonzero r x r
+    minor M.  The rows are read, not changed.
 
-    Fraction-free (Bareiss) elimination with full pivoting: after step k every
-    entry of the working block is a (k+1) x (k+1) minor, so the last pivot is
-    the leading r x r minor of the permuted matrix.  `d` is overwritten.
+    A fraction-free (Bareiss, Math. Comp. 1968) row echelon pass, one column
+    at a time.  The columns are taken in order of their least nonzero
+    |entry|, and zero columns are left out; in each column the pivot is the
+    least nonzero entry at or below the next pivot row, and a column with
+    none is skipped.  After each pivot every entry below and to the right of
+    it is a minor on the pivot rows and columns so far and its own row and
+    column, so the last pivot is a nonzero r x r minor.  The pass keeps the
+    matrix as its list of columns, so finding a pivot is one scan of one
+    column.
+
+    The column order keeps needless primes out of M.  Taken in their own
+    order, the columns of some Koszul differentials give an M that shares a
+    prime with every term, so `smith_diagonal` finds no unit modulo M and
+    `_make_unit` fills in the pivot column.  In least-entry order the first
+    pivot is the smallest term, and on every Koszul table measured M was a
+    power of it.
     """
-    prev = 1
-    for k in range(min(m, n)):
-        piv = _find_pivot(d, m, n, k, "min_abs")
-        if piv is None:
-            return k, abs(prev)
-        i, j = piv
-        d[k], d[i] = d[i], d[k]
-        for row in d[k:]:
-            row[k], row[j] = row[j], row[k]
-        dk = d[k]
-        p = dk[k]
-        for i in range(k + 1, m):
-            di = d[i]
-            c = di[k]
-            if c:
-                for j in range(k + 1, n):
-                    di[j] = (di[j] * p - c * dk[j]) // prev
-            else:
-                # The row only scales by p / prev, and its zeros stay zero.
-                for j in range(k + 1, n):
-                    if di[j]:
-                        di[j] = di[j] * p // prev
+    cols = [list(col) for col in zip(*rows) if any(col)]
+    cols.sort(key=lambda col: min(map(abs, filter(None, col))))
+    m = len(rows)
+    r, prev = 0, 1
+    for k, ck in enumerate(cols):
+        p = min(filter(None, ck[r:]), key=abs, default=0)
+        if not p:
+            continue
+        i = ck.index(p, r)
+        if i != r:
+            for col in cols[k:]:
+                col[r], col[i] = col[i], col[r]
+        below = ck[r + 1:]
+        for col in cols[k + 1:]:
+            f = col[r]
+            if f:
+                col[r + 1:] = [(x * p - c * f) // prev for x, c in zip(col[r + 1:], below)]
+            elif p != prev:
+                # The column only scales by p / prev, and its zeros stay zero.
+                col[r + 1:] = [x * p // prev if x else 0 for x in col[r + 1:]]
         prev = p
-    return min(m, n), abs(prev)
+        r += 1
+        if r == m:
+            break
+    return r, abs(prev)
 
 
 def _find_unit(d, m, n, t, modulus):
@@ -376,8 +394,9 @@ def _make_unit(d, m, n, t, modulus) -> None:
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The diagonal of `snf(a)`, computed without U or V.
 
-    With r the rank of `a` and M a nonzero r x r minor, the first r invariant
-    factors divide M.  They are therefore the first r invariant factors of
+    With r the rank of `a` and M a nonzero r x r minor, both from one
+    fraction-free pass (`_rank_and_minor`), the first r invariant factors
+    divide M.  They are therefore the first r invariant factors of
     [a | M*I] too, whose column lattice contains M*Z^rows.  So the elimination
     works in (Z/M)^rows: it reduces every entry modulo M, may scale a row by a
     unit modulo M, and no entry ever exceeds M (Domich, Kannan and Trotter,
@@ -396,7 +415,7 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     rest of the diagonal is zero.
     """
     m, n = a.rows, a.cols
-    rank, modulus = _rank_and_minor([list(row) for row in a.data], m, n)
+    rank, modulus = _rank_and_minor(a.data)
     d = [[x % modulus for x in row] for row in a.data]
     diag = []
     scale = 1

@@ -120,6 +120,19 @@ def test_koszul_cyclic_check_examples():
         koszul_cyclic_check(1, [])
 
 
+def test_koszul_terms_must_be_integers():
+    for bad in ([2.7, 4], [2, 4.0], ["2", 4]):
+        with pytest.raises(TypeError):
+            koszul_complex(bad)
+        with pytest.raises(TypeError):
+            koszul_cyclic_check(2, bad)
+    with pytest.raises(TypeError):
+        koszul_cyclic_check(2.0, [2, 4])
+    # anything with __index__ is taken, and any iterable of terms
+    assert homology_table(koszul_complex([True, 4])) == homology_table(koszul_complex([1, 4]))
+    assert koszul_cyclic_check(2, (x for x in [2, 4])).passed
+
+
 def test_koszul_cyclic_random():
     rng = random.Random("gfsuite")
     for _ in range(100):
