@@ -12,16 +12,26 @@ integer sequence is built with the contraction differential
     d(e_{j_1 < ... < j_i}) = sum_k (-1)^(k+1) x_{j_k} e_{... without j_k ...}
 
 which is fixed once and for all so outputs are deterministic.
+
+Its differentials need no elimination to find their rank and a minor.  For
+a nonzero term a_j, the rows of d_i on the (i-1)-subsets without j and its
+columns on the i-subsets with j form +-a_j times a permutation matrix, so
+rk d_i = C(r-1, i-1) (the complex is exact over Q) and |a_j|^C(r-1, i-1) is
+a nonzero maximal minor.  Taking a_j coprime to another term a_l makes the
+entries +-a_l units modulo that minor; on every table measured the Smith
+diagonal then found a unit at each step without having to make one.
+`koszul_complex` attaches these pairs to the complex it returns, and builds
+it without multiplying the differentials to check d∘d = 0.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
-from .intlinalg import IntMatrix, smith_diagonal
+from .intlinalg import IntMatrix, _diagonal_modulo, smith_diagonal
 from .spectrum import SpecSubset, Z_BACKEND
 from .zmodules import IdealZ, ZModule, supp, v_of_ideal
 
@@ -37,6 +47,8 @@ class FreeComplex:
     bottom_degree: int
     ranks: tuple[int, ...]
     differentials: tuple[IntMatrix, ...]
+    # (rank, |nonzero maximal minor|) of each differential, when known
+    _known: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.differentials) != max(len(self.ranks) - 1, 0):
@@ -50,6 +62,15 @@ class FreeComplex:
         for k in range(len(self.differentials) - 1):
             if not (self.differentials[k] @ self.differentials[k + 1]).is_zero():
                 raise ValueError("consecutive differentials do not compose to zero")
+
+    @classmethod
+    def _from_known(cls, bottom_degree, ranks, differentials, known) -> "FreeComplex":
+        """A complex the package built itself, with the (rank, |minor|) pair
+        of each differential: nothing is checked."""
+        self = object.__new__(cls)
+        vars(self).update(bottom_degree=bottom_degree, ranks=ranks,
+                          differentials=differentials, _known=known)
+        return self
 
     @property
     def top_degree(self) -> int:
@@ -76,7 +97,9 @@ def koszul_complex(sequence) -> FreeComplex:
     """The exterior-algebra Koszul complex of an integer sequence.
 
     Terms are taken with `operator.index`, as `IntMatrix(...)` takes its
-    entries, so a non-integer term raises TypeError."""
+    entries, so a non-integer term raises TypeError.  The minor of d_i is a
+    power of the least nonzero |term| coprime to some other term, else of the
+    least nonzero |term|."""
     xs = list(map(operator.index, sequence))
     if not xs:
         raise ValueError("Koszul complex of an empty sequence")
@@ -93,12 +116,24 @@ def koszul_complex(sequence) -> FreeComplex:
                 sign = 1 if k % 2 == 0 else -1
                 mat[index[i - 1][face]][col] += sign * xs[j]
         diffs.append(IntMatrix._from_rows(mat, rows, cols))
-    return FreeComplex(0, tuple(len(level) for level in bases), tuple(diffs))
+    terms = sorted((abs(x), j) for j, x in enumerate(xs) if x)
+    a = next((x for x, j in terms
+              if any(gcd(x, y) == 1 for k, y in enumerate(xs) if k != j)),
+             terms[0][0] if terms else 0)
+    known = tuple((comb(r - 1, i - 1), a ** comb(r - 1, i - 1)) if a else (0, 1)
+                  for i in range(1, r + 1))
+    return FreeComplex._from_known(0, tuple(len(level) for level in bases),
+                                   tuple(diffs), known)
 
 
 def _reduce(complex_: FreeComplex, degree: int) -> tuple[int, tuple[int, ...]]:
     """Rank and nonunit invariant factors of the differential out of `degree`."""
-    diag = [x for x in smith_diagonal(complex_.differential(degree)) if x]
+    d, k = complex_.differential(degree), degree - complex_.bottom_degree
+    if complex_._known and 1 <= k < len(complex_.ranks):
+        diag = _diagonal_modulo(d, *complex_._known[k - 1])
+    else:
+        diag = smith_diagonal(d)
+    diag = [x for x in diag if x]
     return len(diag), tuple(x for x in diag if x != 1)
 
 

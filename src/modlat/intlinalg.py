@@ -310,12 +310,13 @@ def _rank_and_minor(rows) -> tuple[int, int]:
     matrix as its list of columns, so finding a pivot is one scan of one
     column.
 
-    The column order keeps needless primes out of M.  Taken in their own
-    order, the columns of some Koszul differentials give an M that shares a
-    prime with every term, so `smith_diagonal` finds no unit modulo M and
-    `_make_unit` fills in the pivot column.  In least-entry order the first
-    pivot is the smallest term, and on every Koszul table measured M was a
-    power of it.
+    The column order keeps needless primes out of M, for the callers that
+    know no minor of their own (Koszul tables read theirs from the sequence,
+    see `complexes`).  Taken in their own order, the columns of some Koszul
+    differentials give an M that shares a prime with every term, so
+    `smith_diagonal` finds no unit modulo M and `_make_unit` fills in the
+    pivot column; in least-entry order M was a power of the smallest term on
+    every one measured.
     """
     cols = [list(col) for col in zip(*rows) if any(col)]
     cols.sort(key=lambda col: min(map(abs, filter(None, col))))
@@ -414,8 +415,13 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     M before step r contributes that times M for each remaining step; the
     rest of the diagonal is zero.
     """
+    return _diagonal_modulo(a, *_rank_and_minor(a.data))
+
+
+def _diagonal_modulo(a: IntMatrix, rank: int, modulus: int) -> tuple[int, ...]:
+    """`smith_diagonal(a)` from the rank of `a` and |M| for a nonzero
+    rank x rank minor M of it, known to the caller."""
     m, n = a.rows, a.cols
-    rank, modulus = _rank_and_minor(a.data)
     d = [[x % modulus for x in row] for row in a.data]
     diag = []
     scale = 1

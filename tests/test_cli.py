@@ -91,18 +91,23 @@ def test_koszul_reduces_each_differential_once(capsys, monkeypatch):
     from modlat import complexes
 
     calls = []
-    original = complexes.smith_diagonal
 
-    def counted(a):
-        calls.append(a)
-        return original(a)
+    def counting(name, original):
+        def counted(a, *pair):
+            calls.append(name)
+            return original(a, *pair)
+        return counted
 
-    monkeypatch.setattr(complexes, "smith_diagonal", counted)
+    # Koszul differentials are reduced with their known rank and minor, the
+    # zero maps at either end by `smith_diagonal`.
+    for name in ("smith_diagonal", "_diagonal_modulo"):
+        monkeypatch.setattr(complexes, name, counting(name, getattr(complexes, name)))
     code, payload = run_json(capsys, "koszul", "2,4")
     assert code == 0
     assert payload["support"] == {"literal": "closure{(2)}", "members": ["(2)"]}
     # homology in degrees 0..2 reads four differentials, each reduced once
     assert len(calls) == 4
+    assert calls.count("_diagonal_modulo") == 2
 
 
 def test_classify_member(capsys):

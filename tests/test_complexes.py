@@ -14,7 +14,14 @@ from modlat.complexes import (
     koszul_cyclic_check,
     thick_member,
 )
-from modlat.intlinalg import IntMatrix, invert_unimodular, kernel_basis, solve
+from modlat.intlinalg import (
+    IntMatrix,
+    _diagonal_modulo,
+    invert_unimodular,
+    kernel_basis,
+    smith_diagonal,
+    solve,
+)
 from modlat.spectrum import PrimeId, SpecSubset, Z_BACKEND
 from modlat.zmodules import ZModule, cyclic_filtration, from_presentation, supp
 
@@ -55,12 +62,67 @@ def test_koszul_zero_element():
 
 
 def test_koszul_differentials_compose_to_zero():
+    """`koszul_complex` does not multiply its differentials, so this is the
+    check that they compose to zero."""
     rng = random.Random("koszul-d2")
-    for _ in range(20):
-        xs = [rng.randint(-9, 9) for _ in range(rng.randrange(1, 5))]
+    sequences = [[rng.randint(-9, 9) for _ in range(rng.randrange(1, 5))] for _ in range(20)]
+    for length in range(5, 9):
+        sequences.append([rng.randint(-99, 99) for _ in range(length)])
+        sequences.append([rng.randrange(-10 ** 20, 10 ** 20) for _ in range(length)])
+    for xs in sequences:
         k = koszul_complex(xs)
+        assert len(k.differentials) == len(xs)
         for a, b in zip(k.differentials, k.differentials[1:]):
             assert (a @ b).is_zero()
+
+
+def _lattice_scale_sequences(rng):
+    """Koszul inputs shaped like the lattice-scale benchmark's: length 5 with
+    two-digit terms, plain and with a common factor, and length 6 with
+    one-digit multiples of 2 or 3."""
+    out = [tuple(rng.randint(10, 99) for _ in range(5)) for _ in range(6)]
+    for g in (2, 3, 5, 6, 7):
+        out.append(tuple(g * rng.randint(-(-10 // g), 99 // g) for _ in range(5)))
+    for g in (2, 3):
+        out.append(tuple(g * rng.randint(1, 9 // g) for _ in range(6)))
+    return out
+
+
+def test_koszul_known_pairs_give_smith_diagonals():
+    sequences = _lattice_scale_sequences(random.Random("koszul-known-diagonals"))
+    rng = random.Random("koszul-digits:20")
+    sequences += [tuple(rng.randrange(10 ** 19, 10 ** 20) for _ in range(8)) for _ in range(3)]
+    for seq in sequences:
+        k = koszul_complex(seq)
+        for d, pair in zip(k.differentials, k._known):
+            assert _diagonal_modulo(d, *pair) == smith_diagonal(d), seq
+        assert homology_table(k) == _closed_form(seq)
+
+
+def test_koszul_minor_term_has_a_coprime_partner():
+    """On sequences whose every term shares a prime with the smallest, no
+    entry is a unit modulo a power of the smallest term, and the diagonal
+    has to make one; the minor comes from the least term coprime to some
+    other term instead.  With no coprime pair it is the smallest term."""
+    # 10-digit terms: the smallest is a multiple of 6, the rest of 2 or 3.
+    slow = [(1483429500, 4987081464, 6488588702, 5884876396,
+             4515809310, 4649455641, 4142116240, 3880747962),
+            (1580714958, 3669503433, 5425217259, 6415463139,
+             3176731332, 5081719732, 6469770608, 6183424918)]
+    for seq, term in zip(slow, (4142116240, 3669503433)):
+        assert all(gcd(x, min(seq)) > 1 for x in seq)
+        k = koszul_complex(seq)
+        assert k._known == tuple((comb(7, i), term ** comb(7, i)) for i in range(8))
+        for d, pair in zip(k.differentials, k._known):
+            assert _diagonal_modulo(d, *pair) == smith_diagonal(d)
+    # 6 shares a prime with -10 and with 9, which are coprime.
+    assert koszul_complex([0, 6, -10, 9])._known[0] == (1, 9)
+    assert koszul_complex([0, -1, 0])._known[2] == (1, 1)
+    # Every pair of multiples of 6, 10 and 15 shares a prime, and a lone
+    # term has no partner.
+    assert koszul_complex([-30, 12, 20, 45])._known[0] == (1, 12)
+    assert koszul_complex([10, -6, 15])._known[1] == (2, 36)
+    assert koszul_complex([8])._known == ((1, 8),)
 
 
 def test_homology_examples():
@@ -98,6 +160,15 @@ def test_complex_validation():
     with pytest.raises(ValueError):
         # differentials that do not compose to zero
         FreeComplex(0, (1, 1, 1), (IntMatrix([[2]]), IntMatrix([[3]])))
+    # The public constructor checks a Koszul complex too, and knows no pairs.
+    k = koszul_complex([6, 10, 15])
+    public = FreeComplex(k.bottom_degree, k.ranks, k.differentials)
+    assert public == k and public._known == () and len(k._known) == 3
+    assert homology_table(public) == homology_table(k)
+    with pytest.raises(ValueError):
+        rows = k.differentials[1].to_lists()
+        rows[0][0] += 1
+        FreeComplex(0, k.ranks, (k.differentials[0], IntMatrix(rows), k.differentials[2]))
 
 
 def test_koszul_cyclic_check_examples():

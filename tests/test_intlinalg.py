@@ -543,8 +543,11 @@ def test_rank_and_minor_matches_brute_force():
 
 def test_koszul_minor_is_a_power_of_the_smallest_term():
     """The least-entry column order keeps M a power of the smallest term on
-    these tables; in the columns' own order M takes on primes of other terms,
-    and a table of the third 20-digit sequence ran about ten times slower."""
+    these Koszul differentials; in the columns' own order M takes on primes
+    of other terms, and a table of the third 20-digit sequence ran about ten
+    times slower.  Koszul tables no longer call `_rank_and_minor` (their
+    rank and minor are read from the sequence), so these differentials stand
+    for the matrices of other callers that have this shape."""
     from modlat.complexes import koszul_complex
 
     rng = random.Random("koszul-digits:20")
@@ -558,6 +561,29 @@ def test_koszul_minor_is_a_power_of_the_smallest_term():
             while minor % s == 0:
                 minor //= s
             assert minor == 1, (seq, d.shape)
+
+
+def test_koszul_known_pairs_are_rank_and_minor():
+    """The (rank, |minor|) pair `koszul_complex` attaches to each
+    differential, against `_rank_and_minor`'s rank and every minor."""
+    from modlat.complexes import koszul_complex
+
+    sequences = [(0,), (0, 0, 0), (0, 0, 0, 0), (1,), (-1, 0), (7,), (-7, 0, 0),
+                 (5, 5), (-4, -4, -4, -4), (0, 4, -6), (-3, 0, 0, 9), (2, 2, 4, 4),
+                 (6, 10, 15), (6, -10, 15, 0), (1, 1, 1)]
+    rng = random.Random("koszul-known-pairs")
+    for _ in range(30):
+        sequences.append(tuple(rng.choice((0, 1, -1, 2, -3, 6)) * rng.randint(0, 40)
+                               for _ in range(rng.randrange(1, 5))))
+    for seq in sequences:
+        k = koszul_complex(seq)
+        assert len(k._known) == len(seq)
+        for d, (rank, minor) in zip(k.differentials, k._known):
+            brute_rank, minors = _brute_rank_and_minors(d)
+            assert rank == _rank_and_minor(d.data)[0] == brute_rank
+            assert minor in minors, (seq, d.shape)
+            if not any(seq):
+                assert (rank, minor) == (0, 1)
 
 
 def _golden_matrices():
