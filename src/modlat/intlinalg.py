@@ -7,7 +7,9 @@ finitely generated abelian groups, kernels of module maps and the homology
 of free complexes; column-echelon bases with forward substitution give
 subgroup classes and membership.  Full Smith forms with their transforms
 serve only the callers that read generators or U and V; they also record
-their row operations, so U^-1 comes from the same elimination.
+their row operations, so U^-1 comes from the same elimination.  Each Euclid
+run of subtractions and swaps between two rows or two columns is worked out
+on two scalars and applied to the pair once.
 
 `IntMatrix(...)` coerces every entry with `operator.index` and checks the
 shape.  Matrices the package computes from its own ints are built once,
@@ -56,6 +58,10 @@ class IntMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not setattr
+        return IntMatrix, (self.data, self.rows, self.cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -191,6 +197,25 @@ def _find_pivot(d, m, n, t, strategy):
     return best
 
 
+def _euclid_run(a, b):
+    """The Euclid run that clears b against the pivot a, where b // a is
+    nonzero and a does not divide b.  Each step subtracts c times the pivot
+    from the other entry and swaps the two unless that leaves zero.
+    Returns the quotients c in order and the run's composite (p, q, r, s):
+    it takes each pair (x, y) of entries of the pivot's line and the other
+    line to (p*x + q*y, r*x + s*y)."""
+    quotients = []
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        c = b // a
+        b -= c * a
+        quotients.append(c)
+        r, s = r - c * p, s - c * q
+        if not b:
+            return quotients, (p, q, r, s)
+        a, b, p, q, r, s = b, a, r, s, p, q
+
+
 def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
     """Smith normal form of an integer matrix.
 
@@ -202,11 +227,15 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
     Each working row holds a row of D followed by the same row of U, so a
     row operation is one pass over both.  Step t starts with rows and
     columns before t zero off the diagonal, so that pass starts at column t,
-    and a column operation runs over rows t onward; while column t is zero
-    below the pivot, a column operation changes only row t.  V is kept as
-    its list of columns, so a column operation on it is one pass too.  No
-    work is skipped that could change an entry: U, D, V and the row
-    operations are those of the plain elimination.
+    and a column operation runs over rows t onward.  V is kept as its list
+    of columns.  The subtractions and swaps that clear an entry against the
+    pivot form a Euclid run between two rows (or two columns).  The run is
+    worked out on the two entries, its row operations recorded, and its
+    2 x 2 composite applied to the two rows of D and U (the two columns of
+    D and V) in one pass each.  A run of one subtraction is one pass over
+    the other row or column; of D's rows, only row t changes while column t
+    is zero below the pivot.  Integer arithmetic is exact, so U, D, V and
+    the row operations are those of the step-by-step elimination.
 
     Returns:
         SmithDecomposition with u @ a @ v == d, |det u| == |det v| == 1,
@@ -224,12 +253,6 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
         # row_i += c * row_k
         ops.append((i, k, c))
         d[i][t:] = [x + c * y for x, y in zip(d[i][t:], d[k][t:])]
-
-    def col_add(j, k, c, top_only):
-        # col_j += c * col_k
-        for row in (d[t],) if top_only else d[t:]:
-            row[j] += c * row[k]
-        vt[j] = [x + c * y for x, y in zip(vt[j], vt[k])]
 
     def row_swap(i, k):
         ops.append((i, k))
@@ -251,23 +274,38 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
             col_swap(t, piv[1])
         while True:
             # Clear the pivot column; a nonzero remainder is strictly smaller
-            # than the pivot, so swapping it in makes progress.
+            # than the pivot, so swapping it in makes progress.  An entry
+            # the pivot's floor quotient leaves alone is swapped in first.
             for i in range(t + 1, m):
-                while d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    if q:
-                        row_add(i, t, -q)
-                    if d[i][t] != 0:
-                        row_swap(i, t)
+                if d[i][t] and not d[i][t] // d[t][t]:
+                    row_swap(i, t)
+                c, rest = divmod(d[i][t], d[t][t])
+                if rest:
+                    quotients, (p, q, r, s) = _euclid_run(d[t][t], d[i][t])
+                    # each subtraction but the last, which leaves zero, is followed by a swap
+                    ops += [op for k in quotients for op in ((i, t, -k), (i, t))][:-1]
+                    top, low = d[t][t:], d[i][t:]
+                    d[t][t:] = [p * x + q * y for x, y in zip(top, low)]
+                    d[i][t:] = [r * x + s * y for x, y in zip(top, low)]
+                elif c:
+                    row_add(i, t, -c)
             clean = True  # column t is zero below the pivot
             for j in range(t + 1, n):
-                while d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    if q:
-                        col_add(j, t, -q, clean)
-                    if d[t][j] != 0:
-                        col_swap(j, t)
-                        clean = not any(row[t] for row in d[t + 1:])
+                if d[t][j] and not d[t][j] // d[t][t]:
+                    col_swap(j, t)
+                    clean = not any(row[t] for row in d[t + 1:])
+                c, rest = divmod(d[t][j], d[t][t])
+                if rest:
+                    _, (p, q, r, s) = _euclid_run(d[t][t], d[t][j])
+                    for row in d[t:]:
+                        row[t], row[j] = p * row[t] + q * row[j], r * row[t] + s * row[j]
+                    vt[t], vt[j] = ([p * x + q * y for x, y in zip(vt[t], vt[j])],
+                                    [r * x + s * y for x, y in zip(vt[t], vt[j])])
+                    clean = not any(row[t] for row in d[t + 1:])
+                elif c:
+                    for row in (d[t],) if clean else d[t:]:
+                        row[j] -= c * row[t]
+                    vt[j] = [x - c * y for x, y in zip(vt[j], vt[t])]
             if not clean:
                 continue
             # Pivot must divide the rest of the block for the chain to hold.

@@ -253,6 +253,18 @@ def test_oracle_derive_golden_stdout(capsys, name):
         assert out == fh.read()
 
 
+def test_snf_golden_stdout_with_long_euclid_runs(capsys):
+    """stdout of `modlat snf` on a seeded dense 16x16 matrix, byte for byte;
+    its elimination takes Euclid runs of up to 67 steps between two rows
+    and of up to 5 steps between two columns."""
+    rng = random.Random("snf-golden-cli:5")
+    matrix = [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)]
+    code, out = run(capsys, "snf", json.dumps(matrix))
+    assert code == 0
+    with open(os.path.join(GOLDEN, "snf_16x16_long_runs.json"), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 def test_suite_vars_reach_the_monomial_reports(capsys):
     code, payload = run_json(capsys, "suite", "--only", "roundtrip",
                              "--vars", "a,b", "--trials", "5")

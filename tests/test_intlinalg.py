@@ -14,6 +14,7 @@ import pytest
 
 from modlat.intlinalg import (
     PIVOT_STRATEGIES,
+    _find_pivot,
     _rank_and_minor,
     IntMatrix,
     SmithDecomposition,
@@ -302,6 +303,35 @@ def test_u_inverse_from_recorded_row_operations(strategy):
         # U^-1 @ D @ V^-1 recovers the input
         assert inv @ dec.d @ invert_unimodular(dec.v) == a
 
+
+
+def test_copy_and_pickle_round_trips():
+    """Matrices, Smith forms and Koszul complexes survive copy, deepcopy and
+    pickle; a round-tripped matrix still refuses attribute assignment, and
+    a round-tripped complex keeps the ranks and minors it was built with."""
+    import copy
+    import pickle
+
+    from modlat.complexes import homology_table, koszul_complex
+
+    def round_trips(x):
+        return (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)))
+
+    for a in (IntMatrix([[1, -2], [3, 10 ** 40]]), IntMatrix.zeros(3, 0),
+              IntMatrix.zeros(0, 2), IntMatrix([])):
+        for b in round_trips(a):
+            assert b == a and hash(b) == hash(a) and b.shape == a.shape
+            with pytest.raises(AttributeError, match="immutable"):
+                b.rows = 7
+    dec = snf(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+    for copied in round_trips(dec):
+        assert copied == dec and copied.row_ops == dec.row_ops
+        assert copied.u_inverse() == dec.u_inverse()
+    k = koszul_complex([4, 6, 10])
+    assert k._known
+    for copied in round_trips(k):
+        assert copied == k and copied._known == k._known
+        assert homology_table(copied) == homology_table(k)
 
 def test_row_operations_do_not_enter_equality_or_repr():
     a = IntMatrix([[2, 4], [6, 8]])
@@ -612,3 +642,136 @@ def test_snf_golden_digest():
             dec = snf(a, strategy)
             h.update(repr((dec.u.data, dec.d.data, dec.v.data, dec.row_ops)).encode())
     assert h.hexdigest() == "b261ed2149e2a9884e0128daba95a2b050d271750695f0d89da529b87d11ca50"
+
+
+def _snf_step_by_step(a, strategy):
+    """The slow-path reference for `snf`: the same elimination with every
+    step of a Euclid run applied to whole rows or columns as it is taken.
+    Returns U, D, V and the row operations as tuples, and the lengths of
+    the row runs and column runs it took (steps between the pivot and one
+    other row or column, adds and swaps alike)."""
+    m, n = a.rows, a.cols
+    d = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a.data)]
+    vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    ops, row_runs, col_runs = [], [], []
+
+    def row_add(i, k, c):
+        ops.append((i, k, c))
+        d[i][t:] = [x + c * y for x, y in zip(d[i][t:], d[k][t:])]
+
+    def col_add(j, k, c, top_only):
+        for row in (d[t],) if top_only else d[t:]:
+            row[j] += c * row[k]
+        vt[j] = [x + c * y for x, y in zip(vt[j], vt[k])]
+
+    def row_swap(i, k):
+        ops.append((i, k))
+        d[i], d[k] = d[k], d[i]
+
+    def col_swap(j, k):
+        for row in d[t:]:
+            row[j], row[k] = row[k], row[j]
+        vt[j], vt[k] = vt[k], vt[j]
+
+    t = 0
+    while t < min(m, n):
+        piv = _find_pivot(d, m, n, t, strategy)
+        if piv is None:
+            break
+        if piv[0] != t:
+            row_swap(t, piv[0])
+        if piv[1] != t:
+            col_swap(t, piv[1])
+        while True:
+            for i in range(t + 1, m):
+                steps = 0
+                while d[i][t] != 0:
+                    q = d[i][t] // d[t][t]
+                    if q:
+                        row_add(i, t, -q)
+                        steps += 1
+                    if d[i][t] != 0:
+                        row_swap(i, t)
+                        steps += 1
+                row_runs.append(steps)
+            clean = True
+            for j in range(t + 1, n):
+                steps = 0
+                while d[t][j] != 0:
+                    q = d[t][j] // d[t][t]
+                    if q:
+                        col_add(j, t, -q, clean)
+                        steps += 1
+                    if d[t][j] != 0:
+                        col_swap(j, t)
+                        steps += 1
+                        clean = not any(row[t] for row in d[t + 1:])
+                col_runs.append(steps)
+            if not clean:
+                continue
+            p = d[t][t]
+            bad = None
+            if p not in (1, -1):
+                for i in range(t + 1, m):
+                    row = d[i]
+                    if any(row[j] % p for j in range(t + 1, n)):
+                        bad = i
+                        break
+            if bad is None:
+                break
+            row_add(t, bad, 1)
+        if d[t][t] < 0:
+            ops.append((t,))
+            d[t][t] = -d[t][t]
+            d[t][n:] = [-x for x in d[t][n:]]
+        t += 1
+
+    u = tuple(tuple(row[n:]) for row in d)
+    dd = tuple(tuple(row[:n]) for row in d)
+    return (u, dd, tuple(zip(*vt)), tuple(ops)), row_runs, col_runs
+
+
+def _run_matrices():
+    """2,000 seeded matrices: the four lattice-scale Smith shapes with
+    entries in [-9, 9], then small ones that are dense, sparse, rank-deficient,
+    a single row or column, or zero, with entries up to 10**6."""
+    rng = random.Random("snf-runs")
+    for rows, cols in ((12, 12), (16, 16), (12, 20), (20, 12)):
+        for _ in range(5):
+            yield IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    for k in range(1980):
+        kind = k % 6
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        if kind == 3:
+            rows, cols = (1, rng.randint(1, 9)) if k % 12 == 3 else (rng.randint(1, 9), 1)
+        bound = rng.choice((9, 1000, 10 ** 6))
+        if kind == 4:
+            yield IntMatrix.zeros(rows, cols)
+            continue
+        density = 0.3 if kind == 1 else 1.0
+        if kind == 2:
+            rank = rng.randrange(0, min(rows, cols) + 1)
+            left = [[rng.randint(-bound, bound) for _ in range(rank)] for _ in range(rows)]
+            right = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rank)]
+            yield IntMatrix([[sum(left[i][q] * right[q][j] for q in range(rank))
+                              for j in range(cols)] for i in range(rows)], rows=rows, cols=cols)
+            continue
+        yield IntMatrix([[rng.randint(-bound, bound) if rng.random() < density else 0
+                          for _ in range(cols)] for _ in range(rows)])
+
+
+def test_snf_matches_the_step_by_step_reference():
+    """`snf` works each Euclid run out on two scalars and applies it once;
+    U, D, V and the row operations equal the step-by-step reference's on
+    inputs with row runs of 16 steps or more and column runs of at least a
+    subtraction, a swap and a subtraction, the runs applied as composites."""
+    longest_row_run = longest_col_run = 0
+    for strategy in PIVOT_STRATEGIES:
+        for a in _run_matrices():
+            dec = snf(a, strategy)
+            expected, row_runs, col_runs = _snf_step_by_step(a, strategy)
+            assert (dec.u.data, dec.d.data, dec.v.data, dec.row_ops) == expected, (a, strategy)
+            longest_row_run = max(longest_row_run, *row_runs, 0)
+            longest_col_run = max(longest_col_run, *col_runs, 0)
+    assert longest_row_run >= 16
+    assert longest_col_run >= 3
