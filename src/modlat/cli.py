@@ -45,6 +45,7 @@ KIND_BY_NAME = {k.value: k for k in ClosureKind}
 KOSZUL_MAX_LENGTH = 8
 KOSZUL_MAX_DIGITS = 20
 SNF_MAX_DIM = 20
+_SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
 
 
 def _backend_from_args(args) -> tuple:
@@ -185,11 +186,26 @@ def cmd_filtration(args) -> tuple[int, dict]:
     }
 
 
+def _int_list(text: str) -> list[int]:
+    """The terms of a comma list, each an optional sign and digits with
+    spaces around it; blank text gives no terms."""
+    if not text.strip():
+        return []
+    terms, start = [], 0
+    for part in text.split(","):
+        pos = start + len(part) - len(part.lstrip())
+        start += len(part) + 1
+        try:
+            if not _SIGNED_DIGITS.fullmatch(part.strip()):
+                raise ValueError(part)
+            terms.append(int(part))
+        except ValueError as exc:  # also a term past int's digit limit
+            raise LiteralError(text, pos, "an integer") from exc
+    return terms
+
+
 def cmd_koszul(args) -> tuple[int, dict]:
-    try:
-        gens = [int(x) for x in args.sequence.split(",") if x.strip()]
-    except ValueError as exc:
-        raise LiteralError(args.sequence, 0, "a comma list of integers") from exc
+    gens = _int_list(args.sequence)
     if not gens:
         raise LiteralError(args.sequence, 0, "a nonempty integer list")
     if len(gens) > KOSZUL_MAX_LENGTH:
@@ -269,10 +285,8 @@ def _parse_kinds(text: str) -> set[str]:
 
 
 def _universe_from_args(args) -> Universe:
-    primes = tuple(int(p) for p in args.primes.split(",") if p.strip())
-    return Universe(primes=primes, max_exponent=args.max_exp,
-                    max_rank=args.max_rank,
-                    max_torsion_factors=args.max_factors)
+    return Universe(primes=tuple(_int_list(args.primes)), max_exponent=args.max_exp,
+                    max_rank=args.max_rank, max_torsion_factors=args.max_factors)
 
 
 def cmd_oracle_close(args) -> tuple[int, dict]:

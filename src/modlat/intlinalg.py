@@ -9,7 +9,8 @@ subgroup classes and membership.  Full Smith forms with their transforms
 serve only the callers that read generators or U and V; they also record
 their row operations, so U^-1 comes from the same elimination.  Each Euclid
 run of subtractions and swaps between two rows or two columns is worked out
-on two scalars and applied to the pair once.
+on two scalars and applied to the pair once, and a single subtraction
+touches only the pivot line's nonzero entries.
 
 `IntMatrix(...)` coerces every entry with `operator.index` and checks the
 shape.  Matrices the package computes from its own ints are built once,
@@ -232,10 +233,15 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
     pivot form a Euclid run between two rows (or two columns).  The run is
     worked out on the two entries, its row operations recorded, and its
     2 x 2 composite applied to the two rows of D and U (the two columns of
-    D and V) in one pass each.  A run of one subtraction is one pass over
-    the other row or column; of D's rows, only row t changes while column t
-    is zero below the pivot.  Integer arithmetic is exact, so U, D, V and
-    the row operations are those of the step-by-step elimination.
+    D and V) in one pass each; in D and U it skips the places where both
+    lines are zero.  A run of one subtraction changes the other row or
+    column only where the pivot line is nonzero: the pivot row's nonzero
+    entries of D and U (V's column t's nonzero entries) are listed once and
+    reused until a swap or a longer run changes the pivot line.  Of D's
+    rows, such a column subtraction changes only row t while column t is
+    zero below the pivot.
+    Integer arithmetic is exact, so U, D, V and the row operations are
+    those of the step-by-step elimination.
 
     Returns:
         SmithDecomposition with u @ a @ v == d, |det u| == |det v| == 1,
@@ -248,11 +254,6 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
     d = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a.data)]
     vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     ops = []
-
-    def row_add(i, k, c):
-        # row_i += c * row_k
-        ops.append((i, k, c))
-        d[i][t:] = [x + c * y for x, y in zip(d[i][t:], d[k][t:])]
 
     def row_swap(i, k):
         ops.append((i, k))
@@ -276,36 +277,58 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
             # Clear the pivot column; a nonzero remainder is strictly smaller
             # than the pivot, so swapping it in makes progress.  An entry
             # the pivot's floor quotient leaves alone is swapped in first.
+            # `live` lists the pivot line's nonzero (index, entry) pairs
+            # (the pivot row from column t here, V's column t below) and is
+            # dropped whenever a swap or a longer run changes that line.
+            live = None
             for i in range(t + 1, m):
                 if d[i][t] and not d[i][t] // d[t][t]:
                     row_swap(i, t)
+                    live = None
                 c, rest = divmod(d[i][t], d[t][t])
                 if rest:
                     quotients, (p, q, r, s) = _euclid_run(d[t][t], d[i][t])
                     # each subtraction but the last, which leaves zero, is followed by a swap
                     ops += [op for k in quotients for op in ((i, t, -k), (i, t))][:-1]
-                    top, low = d[t][t:], d[i][t:]
-                    d[t][t:] = [p * x + q * y for x, y in zip(top, low)]
-                    d[i][t:] = [r * x + s * y for x, y in zip(top, low)]
+                    top, low = d[t], d[i]
+                    for k in range(t, n + m):
+                        x, y = top[k], low[k]
+                        if x or y:
+                            top[k], low[k] = p * x + q * y, r * x + s * y
+                    live = None
                 elif c:
-                    row_add(i, t, -c)
+                    ops.append((i, t, -c))
+                    if live is None:
+                        live = [(k, x) for k, x in enumerate(d[t][t:], t) if x]
+                    row = d[i]
+                    for k, x in live:
+                        row[k] -= c * x
             clean = True  # column t is zero below the pivot
+            live = None
             for j in range(t + 1, n):
                 if d[t][j] and not d[t][j] // d[t][t]:
                     col_swap(j, t)
                     clean = not any(row[t] for row in d[t + 1:])
+                    live = None
                 c, rest = divmod(d[t][j], d[t][t])
                 if rest:
                     _, (p, q, r, s) = _euclid_run(d[t][t], d[t][j])
                     for row in d[t:]:
-                        row[t], row[j] = p * row[t] + q * row[j], r * row[t] + s * row[j]
+                        x, y = row[t], row[j]
+                        if x or y:
+                            row[t], row[j] = p * x + q * y, r * x + s * y
                     vt[t], vt[j] = ([p * x + q * y for x, y in zip(vt[t], vt[j])],
                                     [r * x + s * y for x, y in zip(vt[t], vt[j])])
                     clean = not any(row[t] for row in d[t + 1:])
+                    live = None
                 elif c:
                     for row in (d[t],) if clean else d[t:]:
                         row[j] -= c * row[t]
-                    vt[j] = [x - c * y for x, y in zip(vt[j], vt[t])]
+                    if live is None:
+                        live = [(k, x) for k, x in enumerate(vt[t]) if x]
+                    col = vt[j]
+                    for k, x in live:
+                        col[k] -= c * x
             if not clean:
                 continue
             # Pivot must divide the rest of the block for the chain to hold.
@@ -319,7 +342,8 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
                         break
             if bad is None:
                 break
-            row_add(t, bad, 1)
+            ops.append((t, bad, 1))
+            d[t][t:] = [x + y for x, y in zip(d[t][t:], d[bad][t:])]
         if d[t][t] < 0:
             ops.append((t,))
             d[t][t] = -d[t][t]

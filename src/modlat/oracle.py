@@ -41,6 +41,7 @@ from .intlinalg import (
     snf,
     solve_echelon,
 )
+from .spectrum import is_prime_number
 from .zmodules import (
     IdealZ,
     ZModule,
@@ -77,7 +78,7 @@ class Universe:
 
     Members are Z^s + (sum of prime-power cyclics) with s <= max_rank, at
     most max_torsion_factors primary summands, primes from `primes` and
-    exponents at most max_exponent.
+    exponents at most max_exponent.  A non-prime in `primes` is a ValueError.
     """
 
     primes: tuple[int, ...]
@@ -87,6 +88,9 @@ class Universe:
     class_cap: int = 5000
 
     def __post_init__(self):
+        for p in self.primes:
+            if not is_prime_number(p):
+                raise ValueError(f"{p!r} is not a prime number")
         object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
 
     def prime_powers(self) -> tuple[int, ...]:

@@ -335,6 +335,62 @@ def test_oracle_cap_exits_2(capsys):
     assert "cap" in lines[0]
 
 
+def _one_error_line(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize("primes", ["4", "6", "0", "1", "-2", "2,9"])
+def test_oracle_close_refuses_non_primes(capsys, primes):
+    bad = primes.split(",")[-1]
+    line = _one_error_line(capsys, "oracle", "close", "--gens", "Z",
+                           "--kinds", "sub,quot", "--primes", primes)
+    assert line == f"error: {bad} is not a prime number"
+
+
+@pytest.mark.parametrize("primes, pos", [("2,,3", 2), ("2,x", 2), ("2,3,", 4),
+                                         ("1_1", 0), ("2, 3.0", 3), (",", 0)])
+def test_oracle_close_refuses_malformed_primes(capsys, primes, pos):
+    line = _one_error_line(capsys, "oracle", "close", "--gens", "Z",
+                           "--kinds", "sub", "--primes", primes)
+    assert line == f"error: at position {pos} in {primes!r}: expected an integer"
+
+
+def test_oracle_close_primes_allow_spaces_signs_and_none(capsys):
+    base = ("oracle", "close", "--gens", "Z/2", "--kinds", "sub,quot")
+    code, out = run(capsys, *base, "--primes", "2,3")
+    assert code == 0
+    assert run(capsys, *base, "--primes", " 3 , +2 ") == (code, out)
+    code, payload = run_json(capsys, "oracle", "close", "--gens", "Z",
+                             "--kinds", "sub,quot", "--primes", "")
+    assert code == 0 and payload["closure"] == ["0", "Z"]
+
+
+@pytest.mark.parametrize("sequence, pos", [("1,,2", 2), ("1_000,5", 0), ("1,2,", 4),
+                                           (",", 0), ("3, +-5", 3), ("3,x", 2),
+                                           ("3,\u0663", 2), ("3,0x10", 2),
+                                           ("3," + "7" * 5000, 2)])
+def test_koszul_refuses_malformed_terms(capsys, sequence, pos):
+    line = _one_error_line(capsys, "koszul", "--", sequence)
+    assert line == f"error: at position {pos} in {sequence!r}: expected an integer"
+
+
+def test_koszul_terms_allow_spaces_and_signs(capsys):
+    code, out = run(capsys, "koszul", "3,5")
+    assert code == 0
+    for text in (" 3 , 5 ", "+3,5", "3,+5"):
+        assert run(capsys, "koszul", text) == (code, out)
+    code, negative = run(capsys, "koszul", "-3,5")
+    assert code == 0 and json.loads(negative)["sequence"] == [-3, 5]
+    assert run(capsys, "koszul", "--", " -3 ,5") == (code, negative)
+
+
 def test_gens_split_at_top_level_commas(capsys):
     base = ("classify", "member", "--backend", "monomial",
             "--vars", "a,b,c,d,e,f,g,h", "--kind", "serre",

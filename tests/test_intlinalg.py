@@ -7,7 +7,8 @@ explicit unimodular products for invariance checks.
 
 import hashlib
 import random
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import chain, combinations, permutations
 from math import comb, gcd, prod
 
 import pytest
@@ -647,13 +648,19 @@ def test_snf_golden_digest():
 def _snf_step_by_step(a, strategy):
     """The slow-path reference for `snf`: the same elimination with every
     step of a Euclid run applied to whole rows or columns as it is taken.
-    Returns U, D, V and the row operations as tuples, and the lengths of
-    the row runs and column runs it took (steps between the pivot and one
-    other row or column, adds and swaps alike)."""
+    Returns U, D, V and the row operations as tuples, the lengths of the
+    row runs and column runs it took (steps between the pivot and one
+    other row or column, adds and swaps alike), and a Counter of the runs
+    of a single add (one clear, perhaps after a swap): "sparse_row" where
+    the pivot row had a zero among its entries of D and U from column t,
+    "sparse_v" where V's column t had a zero, and "after_change" where a
+    swap or a longer run changed the pivot line since an earlier single
+    clear of the same loop."""
     m, n = a.rows, a.cols
     d = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a.data)]
     vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     ops, row_runs, col_runs = [], [], []
+    counts = Counter()
 
     def row_add(i, k, c):
         ops.append((i, k, c))
@@ -683,30 +690,44 @@ def _snf_step_by_step(a, strategy):
         if piv[1] != t:
             col_swap(t, piv[1])
         while True:
+            built = changed = False  # a single clear seen; the pivot line changed since
             for i in range(t + 1, m):
-                steps = 0
+                adds = swaps = 0
                 while d[i][t] != 0:
                     q = d[i][t] // d[t][t]
                     if q:
+                        sparse = 0 in d[t][t:]
                         row_add(i, t, -q)
-                        steps += 1
+                        adds += 1
                     if d[i][t] != 0:
                         row_swap(i, t)
-                        steps += 1
-                row_runs.append(steps)
+                        swaps += 1
+                row_runs.append(adds + swaps)
+                changed = changed or swaps > 0
+                if adds == 1:
+                    counts["sparse_row"] += sparse
+                    counts["after_change"] += built and changed
+                    built, changed = True, False
             clean = True
+            built = changed = False
             for j in range(t + 1, n):
-                steps = 0
+                adds = swaps = 0
                 while d[t][j] != 0:
                     q = d[t][j] // d[t][t]
                     if q:
+                        sparse = 0 in vt[t]
                         col_add(j, t, -q, clean)
-                        steps += 1
+                        adds += 1
                     if d[t][j] != 0:
                         col_swap(j, t)
-                        steps += 1
+                        swaps += 1
                         clean = not any(row[t] for row in d[t + 1:])
-                col_runs.append(steps)
+                col_runs.append(adds + swaps)
+                changed = changed or swaps > 0
+                if adds == 1:
+                    counts["sparse_v"] += sparse
+                    counts["after_change"] += built and changed
+                    built, changed = True, False
             if not clean:
                 continue
             p = d[t][t]
@@ -728,7 +749,7 @@ def _snf_step_by_step(a, strategy):
 
     u = tuple(tuple(row[n:]) for row in d)
     dd = tuple(tuple(row[:n]) for row in d)
-    return (u, dd, tuple(zip(*vt)), tuple(ops)), row_runs, col_runs
+    return (u, dd, tuple(zip(*vt)), tuple(ops)), row_runs, col_runs, counts
 
 
 def _run_matrices():
@@ -760,18 +781,49 @@ def _run_matrices():
                           for _ in range(cols)] for _ in range(rows)])
 
 
+def _sparse_matrices():
+    """Matrices whose zeros persist in U and V: block-diagonal ones with
+    blocks of one to five rows and columns, and permutations times
+    diagonals (zeros on the diagonal included), on either side."""
+    rng = random.Random("snf-sparse")
+    for _ in range(150):
+        blocks = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(2, 4))]
+        rows, cols = sum(r for r, _ in blocks), sum(c for _, c in blocks)
+        data = [[0] * cols for _ in range(rows)]
+        top = left = 0
+        bound = rng.choice((9, 1000))
+        for r, c in blocks:
+            for i in range(top, top + r):
+                for j in range(left, left + c):
+                    data[i][j] = rng.randint(-bound, bound)
+            top, left = top + r, left + c
+        yield IntMatrix(data)
+    for k in range(150):
+        n = rng.randint(2, 12)
+        diag = [rng.choice((0, 1, rng.randint(-1000, 1000))) for _ in range(n)]
+        perm = rng.sample(range(n), n)
+        yield IntMatrix([[diag[j if k % 2 else i] if perm[i] == j else 0 for j in range(n)]
+                         for i in range(n)])
+
+
 def test_snf_matches_the_step_by_step_reference():
-    """`snf` works each Euclid run out on two scalars and applies it once;
-    U, D, V and the row operations equal the step-by-step reference's on
-    inputs with row runs of 16 steps or more and column runs of at least a
-    subtraction, a swap and a subtraction, the runs applied as composites."""
+    """`snf` works each Euclid run out on two scalars and applies it once,
+    and a single subtraction only where the pivot line is nonzero; U, D, V
+    and the row operations equal the step-by-step reference's on inputs
+    with row runs of 16 steps or more, column runs of at least a
+    subtraction, a swap and a subtraction, single clears against pivot
+    lines with zeros in D and U and in V, and single clears after the
+    pivot line changed in the same loop."""
     longest_row_run = longest_col_run = 0
+    counts = Counter()
     for strategy in PIVOT_STRATEGIES:
-        for a in _run_matrices():
+        for a in chain(_run_matrices(), _sparse_matrices()):
             dec = snf(a, strategy)
-            expected, row_runs, col_runs = _snf_step_by_step(a, strategy)
+            expected, row_runs, col_runs, clears = _snf_step_by_step(a, strategy)
             assert (dec.u.data, dec.d.data, dec.v.data, dec.row_ops) == expected, (a, strategy)
             longest_row_run = max(longest_row_run, *row_runs, 0)
             longest_col_run = max(longest_col_run, *col_runs, 0)
+            counts += clears
     assert longest_row_run >= 16
     assert longest_col_run >= 3
+    assert counts["sparse_row"] and counts["sparse_v"] and counts["after_change"], counts

@@ -57,6 +57,20 @@ def test_universe_membership():
     assert ZModule.cyclic(5) not in ACCEPT
 
 
+@pytest.mark.parametrize("primes", [(4,), (6,), (0,), (1,), (-2,), (2, 9), (3, 2, 1)])
+def test_universe_refuses_non_primes(primes):
+    bad = next(p for p in primes if p not in (2, 3))
+    with pytest.raises(ValueError, match=f"^{bad} is not a prime number$"):
+        Universe(primes=primes, max_exponent=1, max_rank=0, max_torsion_factors=1)
+
+
+def test_universe_sorts_and_dedups_primes():
+    u = Universe(primes=(3, 2, 3), max_exponent=1, max_rank=0, max_torsion_factors=1)
+    assert u.primes == (2, 3)
+    assert Universe(primes=(), max_exponent=1, max_rank=1,
+                    max_torsion_factors=1).members() == (ZModule.zero(), ZModule.free(1))
+
+
 def test_universe_cap():
     with pytest.raises(OracleCapError):
         Universe(primes=(2, 3, 5, 7), max_exponent=4, max_rank=2,
