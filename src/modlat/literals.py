@@ -37,7 +37,7 @@ class LiteralError(ValueError):
 
 
 _IDENT = re.compile(r"[a-zA-Z_][a-zA-Z_0-9]*")
-_INT = re.compile(r"\d+")
+_INT = re.compile(r"[0-9]+")
 
 
 def split_top_level(text: str) -> list[str]:
@@ -131,7 +131,7 @@ def parse_monomial(text: str, context) -> tuple[int, ...]:
     pos = 0
     for factor in raw.split("*"):
         piece = factor.strip()
-        m = re.fullmatch(r"(?P<var>[a-zA-Z_]\w*)(\^(?P<exp>\d+))?", piece)
+        m = re.fullmatch(r"(?P<var>[a-zA-Z_]\w*)(\^(?P<exp>[0-9]+))?", piece)
         if not m:
             raise LiteralError(text, pos, "a variable power like x or x^2")
         var = m.group("var")
@@ -180,7 +180,7 @@ def parse_module(text: str, backend):
 
 def parse_ideal_z(text: str) -> IdealZ:
     raw = text.strip()
-    m = re.fullmatch(r"\(\s*(\d+)\s*\)", raw)
+    m = re.fullmatch(r"\(\s*([0-9]+)\s*\)", raw)
     if not m:
         raise LiteralError(text, 0, "an integer ideal like (12)")
     return IdealZ(int(m.group(1)))
@@ -240,7 +240,7 @@ def parse_subgroup_elements(text: str, ambient: ZModule) -> IntMatrix:
         for term in re.split(r"(?=[+-])", element.replace(" ", "")):
             if not term:
                 continue
-            m = re.fullmatch(r"(?P<sign>[+-]?)(?:(?P<coef>\d+)\*?)?g(?P<idx>\d+)", term)
+            m = re.fullmatch(r"(?P<sign>[+-]?)(?:(?P<coef>[0-9]+)\*?)?g(?P<idx>[0-9]+)", term)
             if not m:
                 raise LiteralError(text, text.find(term), "a term like 2*g0 or -g1")
             idx = int(m.group("idx"))

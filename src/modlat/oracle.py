@@ -4,18 +4,20 @@ The oracle enumerates a finite universe of isomorphism classes, computes
 genuine closures of generator sets under chosen operations, and produces
 replayable derivation witnesses for submodule membership.
 
-Torsion parts are handled by element-level enumeration (subgroups and
-homomorphism images; kernels are the subgroups whose quotient embeds in the
-target).  Extensions are split before anything is enumerated: a free part of
-the quotient splits off, Ext splits over the primes of a torsion quotient,
-and a free part of the sub turns into a choice of subgroup of the quotient;
-extension cocycles are enumerated only on torsion pairs of one prime.
-Cokernels of maps onto Z + T are read from the extension table.  One
-operation table serves both `close` and `check_closed`, and `close` reaches
-its fixed point semi-naively: each round applies operations only to inputs
-that include a class the round before added.  Results of an operation that
-land outside the universe are discarded and recorded through a clip flag,
-never silently.  Universes are closed under subgroups and under
+Torsion parts are read off partitions, prime by prime: the subgroup and
+quotient types of a p-group are the partitions inside its type, a subgroup
+of type mu with quotient of type nu exists exactly when the
+Littlewood-Richardson coefficient c^lambda_{mu nu} is nonzero, and so do
+the middle terms of extensions.  Surjections follow an interlacing rule,
+kernels and cokernels the (mu, nu) pairs, and a free part of an extension's
+sub turns into a choice of such a pair.  `tests/torsion_reference.py`
+builds the same tables by element and cocycle enumeration, as the tests'
+reference.  Cokernels of maps onto Z + T are read from the extension table.
+One operation table serves both `close` and `check_closed`, and `close`
+reaches its fixed point semi-naively: each round applies operations only to
+inputs that include a class the round before added.  Results of an
+operation that land outside the universe are discarded and recorded through
+a clip flag, never silently.  Universes are closed under subgroups and under
 sub-multisets of primary factors, which is what makes the
 universe-restricted fixed points meaningful.
 
@@ -28,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations, product, zip_longest
 
 from . import zmodules
 from .intlinalg import (
@@ -42,17 +43,7 @@ from .intlinalg import (
     solve_echelon,
 )
 from .spectrum import is_prime_number
-from .zmodules import (
-    IdealZ,
-    ZModule,
-    ZModuleMap,
-    direct_sum,
-    is_torsion,
-    presentation_matrix,
-    prime_divisors,
-    subgroup_type,
-    torsion_submodule,
-)
+from .zmodules import ZModule, ZModuleMap, direct_sum, presentation_matrix
 
 TORSION_ORDER_CAP = 2 ** 14
 CLOSE_MAX_ITERATIONS = 10_000
@@ -78,7 +69,8 @@ class Universe:
 
     Members are Z^s + (sum of prime-power cyclics) with s <= max_rank, at
     most max_torsion_factors primary summands, primes from `primes` and
-    exponents at most max_exponent.  A non-prime in `primes` is a ValueError.
+    exponents at most max_exponent.  A non-prime in `primes`, or a negative
+    bound, is a ValueError.
     """
 
     primes: tuple[int, ...]
@@ -91,6 +83,9 @@ class Universe:
         for p in self.primes:
             if not is_prime_number(p):
                 raise ValueError(f"{p!r} is not a prime number")
+        for bound in ("max_exponent", "max_rank", "max_torsion_factors"):
+            if getattr(self, bound) < 0:
+                raise ValueError(f"{bound} must be nonnegative, got {getattr(self, bound)}")
         object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
 
     def prime_powers(self) -> tuple[int, ...]:
@@ -139,121 +134,139 @@ def _enumerate_universe(universe: Universe) -> tuple[ZModule, ...]:
     return tuple(out)
 
 
-# -- element-level machinery for finite torsion parts -----------------------
+# -- torsion types as partitions ---------------------------------------------
+#
+# A finite abelian p-group is the sum of Z/p^e over a partition of exponents,
+# its type.  Its subgroup types and its quotient types are the partitions
+# inside its type, and it has a subgroup of type mu with quotient of type nu
+# exactly when the Littlewood-Richardson coefficient c^lambda_{mu nu} is
+# nonzero (Hall; Macdonald, Symmetric Functions and Hall Polynomials, ch. II).
+# Every table below works prime by prime on these types.
 
 
-@lru_cache(maxsize=None)
-def _elements(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    total = 1
-    for d in orders:
-        total *= d
+def _check_cap(module: ZModule) -> None:
+    total = module.torsion_order()
     if total > TORSION_ORDER_CAP:
         raise OracleCapError(f"torsion order {total} above cap {TORSION_ORDER_CAP}")
-    return tuple(product(*(range(d) for d in orders)))
-
-def _add(orders, a, b):
-    return tuple((x + y) % d for x, y, d in zip(a, b, orders))
 
 
-def _scale(orders, c, a):
-    return tuple((c * x) % d for x, d in zip(a, orders))
+def _parts(module: ZModule) -> dict[int, tuple[int, ...]]:
+    """The type of each primary part: prime -> exponents, largest first."""
+    out: dict[int, tuple[int, ...]] = {}
+    for p, e in reversed(module.primary_factors):
+        out[p] = out.get(p, ()) + (e,)
+    return out
 
 
-def _span(orders: tuple[int, ...], gens) -> frozenset:
-    zero = (0,) * len(orders)
-    seen = {zero}
-    frontier = [zero]
-    gens = list(gens)
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = _add(orders, cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+def _module(rank: int, parts) -> ZModule:
+    """Z^rank plus the p-group of each (p, type) pair, without factorizing."""
+    chain: list[int] = []
+    for p, lam in parts:
+        chain.extend([1] * (len(lam) - len(chain)))
+        for i, e in enumerate(lam):
+            chain[i] *= p ** e
+    return ZModule(rank, tuple(reversed(chain)))
 
 
-@lru_cache(maxsize=None)
-def _all_subgroups(orders: tuple[int, ...]) -> tuple[frozenset, ...]:
-    """Every subgroup of the finite group with the given cyclic orders.
-
-    Each subgroup found is enlarged by one element x at a time, to
-    sub + <x> = {s + m*x}; the elements of one coset of sub give the same
-    enlargement, so one per coset is tried."""
-    elements = _elements(orders)
-    zero_sub = frozenset({(0,) * len(orders)})
-    found = {zero_sub}
-    frontier = [zero_sub]
-    while frontier:
-        sub = frontier.pop()
-        tried = set(sub)
-        for x in elements:
-            if x in tried:
-                continue
-            tried.update(_add(orders, x, s) for s in sub)
-            multiples = _span(orders, (x,))
-            bigger = frozenset(_add(orders, s, m) for s in sub for m in multiples)
-            if bigger not in found:
-                found.add(bigger)
-                frontier.append(bigger)
-    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+def _subpartitions(lam: tuple[int, ...], top: int | None = None) -> list:
+    """Every partition mu with mu_i <= lam_i, and mu_1 <= top if given."""
+    if not lam:
+        return [()]
+    top = lam[0] if top is None else min(top, lam[0])
+    return [()] + [(m,) + rest for m in range(1, top + 1)
+                   for rest in _subpartitions(lam[1:], m)]
 
 
-def _lift_columns(orders, elements) -> IntMatrix:
-    return IntMatrix.from_columns([list(e) for e in elements], rows=len(orders))
+def _strips(shape, size: int, last, start: int):
+    """(grown shape, cells per row) for each horizontal strip of `size` cells
+    on `shape` that keeps the reading word a lattice word: the strip may put
+    no more cells in rows 0..r than `last`, the strip before, has in rows
+    above r, plus `start`."""
+    rows = shape + (0,)
+
+    def grow(r, left, lead, new, counts):
+        if r == len(rows):
+            if not left:
+                yield tuple(x for x in new if x), counts
+            return
+        room = min(left, lead, rows[r - 1] - rows[r] if r else left)
+        below = last[r] if r < len(last) else 0
+        for a in range(room + 1):
+            yield from grow(r + 1, left - a, lead - a + below,
+                            new + (rows[r] + a,), counts + (a,))
+
+    return grow(0, size, start, (), ())
 
 
 @lru_cache(maxsize=None)
-def _subgroup_type(orders: tuple[int, ...], subgroup: frozenset) -> ZModule:
-    return subgroup_type(ZModule(0, orders), _lift_columns(orders, sorted(subgroup)))
+def _lr(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
+    """lambda -> c^lambda_{mu nu}, for every lambda where it is nonzero.
+
+    The Littlewood-Richardson tableaux of shape lambda/mu and content nu are
+    grown row by row of nu: the k-th row adds a horizontal strip of nu_k
+    cells labelled k, and the labels read right to left, top row first,
+    never have more k than k - 1.  That depends only on the strip before.
+    """
+    states = {(mu, ()): 1}  # (shape, cells per row of the last strip) -> tableaux
+    for k, size in enumerate(nu):
+        grown: dict = {}
+        for (shape, last), count in states.items():
+            # no strip comes before the first, so nothing bounds it
+            for state in _strips(shape, size, last, size if k == 0 else 0):
+                grown[state] = grown.get(state, 0) + count
+        states = grown
+    out: dict = {}
+    for (shape, _), count in states.items():
+        out[shape] = out.get(shape, 0) + count
+    return out
 
 
 @lru_cache(maxsize=None)
-def _quotient_type(orders: tuple[int, ...], subgroup: frozenset) -> ZModule:
-    if not orders:
-        return ZModule.zero()
-    rel = IntMatrix.diagonal(orders)
-    return zmodules.from_presentation(
-        hstack(_lift_columns(orders, sorted(subgroup)), rel)
+def _pairs(lam: tuple[int, ...]) -> tuple:
+    """(mu, nu) for each subgroup of a p-group of type lam: its type and the
+    type of its quotient, the pairs with c^lam_{mu nu} nonzero."""
+    subs = _subpartitions(lam)
+    n = sum(lam)
+    return tuple((mu, nu) for mu in subs for nu in subs
+                 if sum(mu) + sum(nu) == n and lam in _lr(mu, nu))
+
+
+@lru_cache(maxsize=None)
+def _subgroups(module: ZModule) -> frozenset:
+    """(class of H, class of T/H) over the subgroups H of the torsion part T
+    of `module`: at each prime, one of the type pairs of `_pairs`."""
+    _check_cap(module)
+    lam = _parts(module)
+    return frozenset(
+        (_module(0, zip(lam, (mu for mu, _ in choice))),
+         _module(0, zip(lam, (nu for _, nu in choice))))
+        for choice in product(*map(_pairs, lam.values()))
     )
-
-
-@lru_cache(maxsize=None)
-def _hom_image_subgroups(src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple[frozenset, ...]:
-    """Image subgroups of all homomorphisms between the two torsion groups."""
-    elements = _elements(tgt)
-    candidates = []
-    for d in src:
-        candidates.append([e for e in elements if _scale(tgt, d, e) == (0,) * len(tgt)])
-    images = set()
-    for assignment in product(*candidates):
-        images.add(_span(tgt, assignment))
-    return tuple(images)
 
 
 @lru_cache(maxsize=None)
 def surjects_onto(source: ZModule, target: ZModule) -> bool:
     """Whether some surjection source -> target exists.
 
-    Z^s + T_B is a quotient of Z^r + T exactly when s <= r and Z^(r-s) + T
-    surjects onto T_B; the torsion side is decided by complete enumeration of
-    homomorphism images, the free generators then need to cover a quotient
-    with at most r - s minimal generators.
+    Z^s + T_B is a quotient of Z^r + T exactly when s <= r and, with
+    k = r - s spare free generators, each primary part of type beta of T_B
+    and the part of type tau of T at its prime interlace:
+    beta_(i+k) <= tau_i for all i.
     """
     if target.is_zero():
         return True
     if target.free_rank > source.free_rank:
         return False
-    spare = source.free_rank - target.free_rank
-    tgt_orders = target.torsion
-    if not tgt_orders:
+    if not target.torsion:
         return True
-    for image in _hom_image_subgroups(source.torsion, tgt_orders):
-        residue = _quotient_type(tgt_orders, image)
-        if residue.generator_count <= spare:
-            return True
-    return False
+    _check_cap(target)
+    spare = source.free_rank - target.free_rank
+    tau = _parts(source)
+    return all(
+        b <= t
+        for p, beta in _parts(target).items()
+        for b, t in zip_longest(beta[spare:], tau.get(p, ()), fillvalue=0)
+    )
 
 
 # -- operation tables --------------------------------------------------------
@@ -263,14 +276,10 @@ def surjects_onto(source: ZModule, target: ZModule) -> bool:
 def subobject_types(module: ZModule) -> frozenset:
     """Isomorphism classes of subgroups: free rank up to the ambient rank,
     torsion part any subgroup type of the ambient torsion."""
-    torsion_types = {
-        _subgroup_type(module.torsion, sub)
-        for sub in _all_subgroups(module.torsion)
-    }
     return frozenset(
-        direct_sum(ZModule.free(j), t)
+        ZModule(j, t.torsion)
+        for t, _ in _subgroups(module)
         for j in range(module.free_rank + 1)
-        for t in torsion_types
     )
 
 
@@ -305,16 +314,12 @@ def kernel_types(source: ZModule, target: ZModule) -> frozenset:
     the free block rank takes every value up to min of the free ranks.  The
     torsion kernels are exactly the subgroups K of the source torsion whose
     quotient is isomorphic to a subgroup of the target (the map onto that
-    subgroup has kernel K), so every subgroup of the source torsion is tried.
+    subgroup has kernel K).
     """
-    src = source.torsion
     embeddable = subobject_types(target)
-    torsion_kernels = {
-        _subgroup_type(src, sub) for sub in _all_subgroups(src)
-        if _quotient_type(src, sub) in embeddable
-    }
+    torsion_kernels = {k for k, q in _subgroups(source) if q in embeddable}
     return frozenset(
-        direct_sum(ZModule.free(source.free_rank - rk), t)
+        ZModule(source.free_rank - rk, t.torsion)
         for rk in range(min(source.free_rank, target.free_rank) + 1)
         for t in torsion_kernels
     )
@@ -341,7 +346,8 @@ def cokernel_types(source: ZModule, target: ZModule,
     intersection H with T.  Such an image is abstractly Z + H, and it is
     generated by H and a lift (t, d); the quotient is the extension of Z/d by
     T/H with class t in (T/H)/d(T/H), so the quotients over all t are exactly
-    `extension_types(T/H, Z/d)`.  In-universe quotients bound d, and the
+    `extension_types(T/H, Z/d)`.  The subgroups H of T enter only through
+    the classes of H and T/H.  In-universe quotients bound d, and the
     truncation is reported through the clip flag.  Targets of free rank >= 2
     are outside the oracle's scope.
     """
@@ -349,11 +355,8 @@ def cokernel_types(source: ZModule, target: ZModule,
         raise OracleCapError("cokernel enumeration supports target free rank <= 1")
     out = set()
     clipped = False
-    tgt_orders = target.torsion
     bound = universe.max_torsion_order()
-    for sub in _all_subgroups(tgt_orders):
-        sub_type = _subgroup_type(tgt_orders, sub)
-        residue = _quotient_type(tgt_orders, sub)
+    for sub_type, residue in _subgroups(target):
         if target.free_rank == 0:
             if surjects_onto(source, sub_type):
                 out.add(residue)
@@ -378,175 +381,34 @@ def cokernel_types(source: ZModule, target: ZModule,
 
 
 @lru_cache(maxsize=None)
-def _unit_orbit_reps(moduli: tuple[int, ...], c: int) -> tuple:
-    """Representatives of sub/(c*sub) modulo unit scaling.
-
-    Scaling a quotient generator of order c by a unit is an automorphism and
-    multiplies the cocycle value by that unit, so one representative per
-    scaling orbit suffices.
-    """
-    units = [u for u in range(1, c) if gcd(u, c) == 1]
-    seen = set()
-    reps = []
-    for vec in product(*(range(m) for m in moduli)):
-        if vec in seen:
-            continue
-        reps.append(vec)
-        seen.update(
-            tuple((u * x) % m for x, m in zip(vec, moduli)) for u in units
-        )
-    return tuple(reps)
-
-
-def _cocycle_tuples(a_orders, c_tors):
-    """Cocycle tuples covering every extension class up to equivalence.
-
-    The value for a quotient generator of order c lives in sub/(c*sub).
-    The first value of each equal-order run is reduced modulo unit scaling;
-    later values in the run are reduced modulo the combined action of unit
-    scalings and shears by the earlier generators of the run (both are
-    automorphisms of the quotient).
-    """
-    if not c_tors:
-        yield ()
-        return
-    all_vectors = {}
-    moduli_for = {}
-    for c in set(c_tors):
-        moduli = tuple(c if o == 0 else gcd(o, c) for o in a_orders)
-        moduli_for[c] = moduli
-        all_vectors[c] = tuple(product(*(range(m) for m in moduli)))
-
-    def residues(prefix, index):
-        c = c_tors[index]
-        moduli = moduli_for[c]
-        run = [prefix[j] for j in range(index) if c_tors[j] == c]
-        if not run:
-            return _unit_orbit_reps(moduli, c)
-        units = [u for u in range(1, c) if gcd(u, c) == 1]
-        shear_span = {(0,) * len(moduli)}
-        for base in run:
-            shear_span = {
-                tuple((s[i] + t * base[i]) % moduli[i] for i in range(len(moduli)))
-                for s in shear_span
-                for t in range(c)
-            }
-        seen = set()
-        reps = []
-        for vec in all_vectors[c]:
-            if vec in seen:
-                continue
-            reps.append(vec)
-            for u in units:
-                scaled = tuple((u * x) % m for x, m in zip(vec, moduli))
-                seen.update(
-                    tuple((scaled[i] + s[i]) % moduli[i] for i in range(len(moduli)))
-                    for s in shear_span
-                )
-        return tuple(reps)
-
-    def rec(prefix):
-        index = len(prefix)
-        if index == len(c_tors):
-            yield tuple(prefix)
-            return
-        for vec in residues(prefix, index):
-            prefix.append(vec)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
-
-
-def _cocycle_middle_terms(sub: ZModule, quotient: ZModule) -> frozenset:
-    """Middle-term classes of all extensions of `quotient` by `sub`, by
-    enumeration of cocycle data.
-
-    Each torsion generator of the quotient, of order c, picks its lifted
-    relation value in sub/(c*sub), reduced modulo quotient automorphisms.
-    The resulting presentation is canonicalized; the split sum is always
-    among the results.  Complete for every pair; `extension_types` calls it
-    on torsion pairs of one prime.
-    """
-    a_orders = sub.generator_orders
-    c_tors = quotient.torsion
-    ga, gc = sub.generator_count, quotient.generator_count
-    ka, kc = len(sub.torsion), len(c_tors)
-
-    out = set()
-    for eps in _cocycle_tuples(a_orders, c_tors):
-        rows = []
-        for i in range(ga + gc):
-            row = []
-            for j in range(ka):
-                row.append(sub.torsion[j] if i == j else 0)
-            for j in range(kc):
-                if i < ga:
-                    row.append(eps[j][i])
-                else:
-                    row.append(c_tors[j] if (i - ga) == j else 0)
-            rows.append(row)
-        pres = IntMatrix._from_rows(rows, ga + gc, ka + kc)
-        out.add(zmodules.from_presentation(pres))
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
 def extension_types(sub: ZModule, quotient: ZModule) -> frozenset:
     """Middle-term classes of all extensions of `quotient` by `sub`.
 
-    Three exact splitting rules reduce every pair to torsion pairs of one
-    prime, whose cocycles `_cocycle_middle_terms` enumerates:
+    For sub = Z^a + A and quotient = Z^c + T, every middle term is
+    Z^(a+c) + E, and E is chosen prime by prime:
 
-    - Free part of the quotient: ext(A, Z^c + T) = Z^c + ext(A, T), since
-      an extension of Z^c splits.
-    - Primes of a torsion quotient T, for a sub A = Z^a + T_A: Ext(T, A) is
-      the product over the primes p of T of Ext(T_p, Z^a + A_p), and away
-      from p an extension is split.  So a middle term is Z^a, plus the part
-      of T_A at primes not dividing |T|, plus for each p the torsion of one
-      middle term of ext(Z^a + A_p, T_p).
-    - Free part of the sub, for a p-group T: the middle terms of
-      ext(Z^a + T_A, T) are Z^a + E, where K runs over the subgroups of T
-      such that T/K needs at most a generators and E over ext(T_A, K).  The
-      torsion of a middle term is such an E, with K its image in T;
-      conversely, write T = (Z^a + K)/N with N free of rank a, and the
-      preimage of N in Z^a + E is Z^a + T_A with quotient T.
+    - An extension of Z^c splits, and Ext(T, Z^a + A) is the product over
+      the primes p of T of Ext(T_p, Z^a + A_p); away from p it is split.
+    - With no free part in the sub, E_p is any middle term of A_p and T_p:
+      a type lambda with c^lambda_{alpha tau} nonzero.
+    - A free part Z^a of the sub turns into a choice of subgroup K of T_p
+      whose quotient needs at most a generators, and E_p then runs over the
+      middle terms of A_p and K: write T_p = (Z^a + K)/N with N free of
+      rank a, and the preimage of N in Z^a + E is Z^a + A with quotient T.
 
-    The last rule enumerates the elements of the p-group T only; one above
-    TORSION_ORDER_CAP is left to the cocycles, so no pair raises
+    So E_p has a type lambda with c^lambda_{alpha kappa} nonzero for a pair
+    (kappa, nu) of tau with at most a parts in nu.  No pair raises
     OracleCapError.
     """
-    if sub.is_zero() or quotient.is_zero():
-        return frozenset({direct_sum(sub, quotient)})
-    if quotient.free_rank:
-        free = ZModule.free(quotient.free_rank)
-        return frozenset(direct_sum(free, e) for e in
-                         extension_types(sub, ZModule(0, quotient.torsion)))
-    rank = sub.free_rank
-    primes = prime_divisors(quotient.torsion[-1])
-    sub_torsion = ZModule(0, sub.torsion)
-    if len(primes) > 1 or not is_torsion(IdealZ(primes[0]), sub_torsion):
-        away = [q ** e for q, e in sub.primary_factors if q not in primes]
-        local = [
-            {ZModule(0, e.torsion) for e in extension_types(
-                direct_sum(ZModule.free(rank), torsion_submodule(IdealZ(p), sub)),
-                torsion_submodule(IdealZ(p), quotient))}
-            for p in primes
-        ]
-        return frozenset(
-            direct_sum(ZModule.from_cyclic_orders(rank, away), *parts)
-            for parts in product(*local)
-        )
-    orders = quotient.torsion
-    if rank == 0 or quotient.torsion_order() > TORSION_ORDER_CAP:
-        return _cocycle_middle_terms(sub, quotient)
-    kernels = {
-        _subgroup_type(orders, k) for k in _all_subgroups(orders)
-        if _quotient_type(orders, k).generator_count <= rank
-    }
+    a = sub.free_rank
+    alpha, tau = _parts(sub), _parts(quotient)
+    options = [
+        {(p, lam) for kappa, nu in _pairs(tau.get(p, ())) if len(nu) <= a
+         for lam in _lr(alpha.get(p, ()), kappa)}
+        for p in alpha.keys() | tau.keys()
+    ]
     return frozenset(
-        direct_sum(ZModule.free(rank), e)
-        for k in kernels for e in extension_types(sub_torsion, k)
+        _module(a + quotient.free_rank, choice) for choice in product(*options)
     )
 
 

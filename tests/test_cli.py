@@ -354,6 +354,15 @@ def test_oracle_close_refuses_non_primes(capsys, primes):
     assert line == f"error: {bad} is not a prime number"
 
 
+@pytest.mark.parametrize("option, bound", [("--max-exp", "max_exponent"),
+                                           ("--max-rank", "max_rank"),
+                                           ("--max-factors", "max_torsion_factors")])
+def test_oracle_close_refuses_negative_bounds(capsys, option, bound):
+    line = _one_error_line(capsys, "oracle", "close", "--gens", "Z",
+                           "--kinds", "sub,quot", option, "-1")
+    assert line == f"error: {bound} must be nonnegative, got -1"
+
+
 @pytest.mark.parametrize("primes, pos", [("2,,3", 2), ("2,x", 2), ("2,3,", 4),
                                          ("1_1", 0), ("2, 3.0", 3), (",", 0)])
 def test_oracle_close_refuses_malformed_primes(capsys, primes, pos):
@@ -379,6 +388,26 @@ def test_oracle_close_primes_allow_spaces_signs_and_none(capsys):
 def test_koszul_refuses_malformed_terms(capsys, sequence, pos):
     line = _one_error_line(capsys, "koszul", "--", sequence)
     assert line == f"error: at position {pos} in {sequence!r}: expected an integer"
+
+
+# Each digit pattern of the literals is ASCII only; U+0663 and U+0660 are
+# the Arabic-Indic digits three and zero, which int() would accept.
+@pytest.mark.parametrize("argv, line", [
+    (("module", "Z/\u0663"), "at position 0 in 'Z/\u0663': expected a modulus after Z/"),
+    (("module", "Z^\u0663"), "at position 0 in 'Z^\u0663': expected an exponent after Z^"),
+    (("classify", "member", "--kind", "subext", "--criterion", "set{(\u0663)}",
+      "--module", "Z"), "at position 1 in '(\u0663)': expected 0 or a prime number"),
+    (("supp", "--backend", "monomial", "--vars", "x,y", "R/(x^\u0663)"),
+     "at position 0 in 'x^\u0663': expected a variable power like x or x^2"),
+    (("grade", "--module", "Z", "--ideal", "(\u0663)"),
+     "at position 0 in '(\u0663)': expected an integer ideal like (12)"),
+    (("oracle", "derive", "--ambient", "Z/4", "--sub", "\u0663*g0"),
+     "at position 0 in '\u0663*g0': expected a term like 2*g0 or -g1"),
+    (("oracle", "derive", "--ambient", "Z/4", "--sub", "g\u0660"),
+     "at position 0 in 'g\u0660': expected a term like 2*g0 or -g1"),
+])
+def test_literals_refuse_non_ascii_digits(capsys, argv, line):
+    assert _one_error_line(capsys, *argv) == f"error: {line}"
 
 
 def test_koszul_terms_allow_spaces_and_signs(capsys):

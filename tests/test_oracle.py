@@ -1,8 +1,10 @@
 """Closure oracle tests.
 
-The extension table is cross-checked by an element-level search over
-candidate middle terms (complete for torsion inputs); closures are checked
-against the criterion sets they classify.
+The torsion tables, read off partitions, are compared with the element and
+cocycle enumeration of `torsion_reference`; the extension table is also
+cross-checked by an element-level search over candidate middle terms
+(complete for torsion inputs); closures are checked against the criterion
+sets they classify.
 """
 
 import random
@@ -10,6 +12,7 @@ from itertools import product
 from math import gcd
 
 import pytest
+import torsion_reference as reference
 
 from modlat import intlinalg, oracle, zmodules
 from modlat.classify import ass_union, supp_union
@@ -26,13 +29,20 @@ from modlat.oracle import (
     image_types,
     kernel_types,
     quotient_types,
-    subgroup_type,
     subobject_types,
     summand_types,
     surjects_onto,
 )
 from modlat.spectrum import Z_BACKEND
-from modlat.zmodules import ZModule, ZModuleMap, ass, direct_sum, subgroup_lattice, supp
+from modlat.zmodules import (
+    ZModule,
+    ZModuleMap,
+    ass,
+    direct_sum,
+    subgroup_lattice,
+    subgroup_type,
+    supp,
+)
 
 SMALL = Universe(primes=(2,), max_exponent=2, max_rank=1, max_torsion_factors=2)
 ACCEPT = Universe(primes=(2, 3), max_exponent=2, max_rank=1, max_torsion_factors=2)
@@ -47,6 +57,8 @@ def test_universe_enumeration_examples():
     assert set(u.members()) == {
         ZModule.zero(), ZModule.cyclic(2), ZModule.free(1),
         ZModule.from_cyclic_orders(1, [2])}
+    u = Universe(primes=(2,), max_exponent=0, max_rank=1, max_torsion_factors=0)
+    assert u.members() == (ZModule.zero(), ZModule.free(1))
 
 
 def test_universe_membership():
@@ -62,6 +74,14 @@ def test_universe_refuses_non_primes(primes):
     bad = next(p for p in primes if p not in (2, 3))
     with pytest.raises(ValueError, match=f"^{bad} is not a prime number$"):
         Universe(primes=primes, max_exponent=1, max_rank=0, max_torsion_factors=1)
+
+
+@pytest.mark.parametrize("bound", ["max_exponent", "max_rank", "max_torsion_factors"])
+def test_universe_refuses_negative_bounds(bound):
+    bounds = dict(max_exponent=1, max_rank=0, max_torsion_factors=1)
+    bounds[bound] = -1
+    with pytest.raises(ValueError, match=f"^{bound} must be nonnegative, got -1$"):
+        Universe(primes=(2,), **bounds)
 
 
 def test_universe_sorts_and_dedups_primes():
@@ -130,9 +150,9 @@ def middle_terms_oracle(a: ZModule, c: ZModule) -> frozenset:
     out = set()
     for b in _all_abelian_groups_of_order(target_order):
         orders = b.torsion
-        for sub in oracle._all_subgroups(orders):
-            if (oracle._subgroup_type(orders, sub) == a
-                    and oracle._quotient_type(orders, sub) == c):
+        for sub in reference._all_subgroups(orders):
+            if (reference._subgroup_type(orders, sub) == a
+                    and reference._quotient_type(orders, sub) == c):
                 out.add(b)
                 break
     return frozenset(out)
@@ -179,43 +199,110 @@ THREE_PRIMES = Universe(primes=(2, 3, 5), max_exponent=1, max_rank=2,
 
 
 def test_extension_types_match_cocycle_enumeration():
-    # the splitting rules against the cocycles enumerated on the whole pair:
-    # all 900 acceptance pairs, and the 837 three-prime pairs with at most
-    # 6 generators
+    # the partition rules against the cocycles enumerated on the whole pair:
+    # all 900 acceptance pairs, the 837 three-prime pairs with at most
+    # 6 generators, and Z by (Z/5)^3
     for universe in (ACCEPT, THREE_PRIMES):
         members = universe.members()
         for a in members:
             for c in members:
                 if a.generator_count + c.generator_count <= 6:
                     assert extension_types(a, c) == \
-                        oracle._cocycle_middle_terms(a, c), (a, c)
+                        reference._cocycle_middle_terms(a, c), (a, c)
+    cube = ZModule(0, (5, 5, 5))
+    assert extension_types(ZModule.free(1), cube) == \
+        reference._cocycle_middle_terms(ZModule.free(1), cube)
 
 
-def test_extension_types_enumerate_elements_only_in_primary_parts(monkeypatch):
-    # With the cap at 30, Z/5 + Z/15 (order 75) is answered from its primary
-    # parts, and (Z/5)^3 (order 125) from the cocycles, without OracleCapError.
-    members = Universe(primes=(2, 3, 5), max_exponent=1, max_rank=1,
-                       max_torsion_factors=3).members()
-    pairs = [(a, c) for a in members if a.free_rank
-             for c in members if c.free_rank == 0
-             and a.generator_count + c.generator_count <= 5]
-    expected = {pair: extension_types(*pair) for pair in pairs}
-    enumerated = []
-    real = oracle._all_subgroups
-    monkeypatch.setattr(oracle, "_all_subgroups",
-                        lambda orders: enumerated.append(orders) or real(orders))
-    monkeypatch.setattr(oracle, "TORSION_ORDER_CAP", 30)
-    oracle.extension_types.cache_clear()
-    for pair in pairs:
-        assert extension_types(*pair) == expected[pair], pair
-    oracle.extension_types.cache_clear()
-    assert (ZModule.free(1), ZModule.from_cyclic_orders(0, [5, 15])) in expected
-    assert (3, 3, 3) in enumerated
-    for orders in enumerated:
-        assert len(zmodules.prime_divisors(orders[-1])) == 1, orders
-        assert ZModule(0, orders).torsion_order() <= 30, orders
-    assert extension_types(ZModule.free(1), ZModule(0, (5, 5, 5))) == \
-        oracle._cocycle_middle_terms(ZModule.free(1), ZModule(0, (5, 5, 5)))
+def _outcome(table, *args):
+    try:
+        return table(*args)
+    except OracleCapError as exc:
+        return f"OracleCapError: {exc}"
+
+
+def _every_pair(a, c):
+    return True
+
+
+def _free_sub_torsion_quotient(a, c):
+    return a.free_rank and not c.free_rank and a.generator_count + c.generator_count <= 5
+
+
+# name: (universe, pairs whose tables are compared, tables compared).
+# Three factors over three primes take minutes by enumeration, so there
+# only the extensions of a torsion quotient by a sub with a free part are
+# compared: they split by prime and by the free part of the sub, and
+# (Z/5)^3 is the largest quotient.
+TORSION_REFERENCE_CASES = {
+    "accept": (ACCEPT, _every_pair, None),
+    "three-primes": (THREE_PRIMES, _every_pair, None),
+    "two-primary-cubes": (Universe(primes=(2,), max_exponent=3, max_rank=1,
+                                   max_torsion_factors=2), _every_pair, None),
+    "three-factors": (Universe(primes=(2, 3, 5), max_exponent=1, max_rank=1,
+                               max_torsion_factors=3), _free_sub_torsion_quotient,
+                      ("extension_types",)),
+}
+PAIR_TABLES = ("surjects_onto", "kernel_types", "image_types", "extension_types")
+
+
+@pytest.mark.parametrize("case", TORSION_REFERENCE_CASES)
+def test_tables_match_torsion_reference(case):
+    # every table and surjects_onto, refusals included, against the
+    # element and cocycle enumeration
+    universe, pairs, only = TORSION_REFERENCE_CASES[case]
+    members = universe.members()
+    compared = 0
+    for m in members:
+        if only is None:
+            for name, args in (("subobject_types", (m,)),
+                               ("quotient_types", (m, universe))):
+                assert _outcome(getattr(oracle, name), *args) == \
+                    _outcome(getattr(reference, name), *args), (name, m)
+        for n in members:
+            if not pairs(m, n):
+                continue
+            for name in only or PAIR_TABLES:
+                assert _outcome(getattr(oracle, name), m, n) == \
+                    _outcome(getattr(reference, name), m, n), (name, m, n)
+            if only is None:
+                assert _outcome(oracle.cokernel_types, m, n, universe) == \
+                    _outcome(reference.cokernel_types, m, n, universe), (m, n)
+            compared += 1
+    assert compared >= 100
+    if case == "three-factors":
+        # a quotient over two primes, and (Z/5)^3, are among the pairs
+        for c in (ZModule(0, (5, 15)), ZModule(0, (5, 5, 5))):
+            assert c in members and pairs(ZModule.free(1), c)
+
+
+def test_littlewood_richardson_products():
+    assert oracle._lr((1,), (1,)) == {(2,): 1, (1, 1): 1}
+    assert oracle._lr((), (2, 1)) == {(2, 1): 1}
+    assert oracle._lr((2, 1), ()) == {(2, 1): 1}
+    # s21 * s21 = s42 + s411 + s33 + 2 s321 + s3111 + s222 + s2211
+    assert oracle._lr((2, 1), (2, 1)) == {
+        (4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1,
+        (2, 2, 2): 1, (2, 2, 1, 1): 1}
+    # s1^4 = sum of f^lambda s_lambda, f^lambda the standard tableaux count
+    power = {(): 1}
+    for _ in range(4):
+        step = {}
+        for lam, c in power.items():
+            for grown, d in oracle._lr(lam, (1,)).items():
+                step[grown] = step.get(grown, 0) + c * d
+        power = step
+    assert power == {(4,): 1, (3, 1): 3, (2, 2): 2, (2, 1, 1): 3, (1, 1, 1, 1): 1}
+
+
+def test_littlewood_richardson_symmetry():
+    shapes = oracle._subpartitions((3, 2, 2))
+    assert len(shapes) == 16
+    for mu in shapes:
+        for nu in shapes:
+            product_ = oracle._lr(mu, nu)
+            assert product_ == oracle._lr(nu, mu), (mu, nu)
+            assert all(sum(lam) == sum(mu) + sum(nu) for lam in product_)
 
 
 def test_kernel_and_image_types():
@@ -392,9 +479,9 @@ def _cokernel_types_by_cosets(source, target, universe):
     assert target.free_rank <= 1
     out, clipped = set(), False
     orders = target.torsion
-    for sub in oracle._all_subgroups(orders):
-        sub_type = oracle._subgroup_type(orders, sub)
-        residue = oracle._quotient_type(orders, sub)
+    for sub in reference._all_subgroups(orders):
+        sub_type = reference._subgroup_type(orders, sub)
+        residue = reference._quotient_type(orders, sub)
         if target.free_rank == 0:
             if surjects_onto(source, sub_type):
                 out.add(residue)
@@ -412,7 +499,7 @@ def _cokernel_types_by_cosets(source, target, universe):
         relations = [[o if i == j else 0 for i in range(k + 1)]
                      for j, o in enumerate(orders)]
         reps, seen = [], set()
-        for e in oracle._elements(orders):
+        for e in reference._elements(orders):
             if e not in seen:
                 reps.append(e)
                 seen.update(tuple((x + y) % o for x, y, o in zip(e, s, orders))
@@ -655,6 +742,68 @@ def test_torsion_cap():
     huge = ZModule.from_cyclic_orders(0, [2 ** 8, 2 ** 8])
     with pytest.raises(OracleCapError):
         subobject_types(huge)
+
+
+_CAP_UNIVERSE = Universe(primes=(2,), max_exponent=8, max_rank=0, max_torsion_factors=2)
+_OVER = "OracleCapError: torsion order {} above cap 16384"
+
+# (table, argument literals, outcome): frozensets as sorted str lists.
+# Only the torsion order of the parts a table enumerated at first counts:
+# a target's for surjections, images and cokernels, target then source for
+# kernels, the first member of a universe over the cap for quotients, and
+# never an extension.
+CAP_CASES = [
+    ("subobject_types", ("Z/256 + Z/256",), _OVER.format(65536)),
+    ("subobject_types", ("Z^2 + Z/3 + Z/6561",), _OVER.format(19683)),
+    ("surjects_onto", ("Z^2", "Z/128 + Z/128"), True),
+    ("surjects_onto", ("Z", "Z/128 + Z/128"), False),
+    ("surjects_onto", ("Z", "Z/16384"), True),
+    ("surjects_onto", ("Z", "Z/16385"), _OVER.format(16385)),
+    ("surjects_onto", ("Z^2", "Z/2 + Z/16384"), _OVER.format(32768)),
+    ("surjects_onto", ("Z/2", "Z + Z/65536"), False),
+    ("surjects_onto", ("Z/256 + Z/256", "Z/8 + Z/8"), True),
+    ("surjects_onto", ("Z/256 + Z/256", "Z/4 + Z/4 + Z/4"), False),
+    ("kernel_types", ("Z/256 + Z/256", "Z/2"), _OVER.format(65536)),
+    ("kernel_types", ("Z/2", "Z/256 + Z/256"), _OVER.format(65536)),
+    ("kernel_types", ("Z/19683", "Z + Z/256 + Z/256"), _OVER.format(65536)),
+    ("kernel_types", ("Z + Z/19683", "Z"), _OVER.format(19683)),
+    ("image_types", ("Z/256 + Z/256", "Z/4"), ["0", "Z/2", "Z/4"]),
+    ("image_types", ("Z/2", "Z/256 + Z/256"), _OVER.format(65536)),
+    ("cokernel_types", ("Z/256 + Z/256", "Z/4"), (["0", "Z/2", "Z/4"], False)),
+    ("cokernel_types", ("Z", "Z + Z/256 + Z/256"), _OVER.format(65536)),
+    ("cokernel_types", ("Z", "Z^2 + Z/256 + Z/256"),
+     "OracleCapError: cokernel enumeration supports target free rank <= 1"),
+    ("quotient_types", ("Z",), _OVER.format(32768)),
+    ("quotient_types", ("Z/2",), _OVER.format(32768)),
+    ("extension_types", ("Z/2", "Z/65536"), ["Z/131072", "Z/2 + Z/65536"]),
+    ("extension_types", ("Z + Z/3", "Z/32768"),
+     ["Z + Z/3", "Z + Z/6", "Z + Z/12", "Z + Z/24", "Z + Z/48", "Z + Z/96",
+      "Z + Z/192", "Z + Z/384", "Z + Z/768", "Z + Z/1536", "Z + Z/3072",
+      "Z + Z/6144", "Z + Z/12288", "Z + Z/24576", "Z + Z/49152",
+      "Z + Z/98304"]),
+]
+
+
+def _pinned(value):
+    if isinstance(value, frozenset):
+        return sorted(map(str, value), key=lambda t: (len(t), t))
+    if isinstance(value, tuple):
+        return _pinned(value[0]), value[1]
+    return value
+
+
+@pytest.mark.parametrize("table, literals, expected", CAP_CASES, ids=[
+    f"{table}({', '.join(literals)})" for table, literals, _ in CAP_CASES])
+def test_cap_refusals_pinned(table, literals, expected):
+    # outcomes recorded with the element enumeration the tables replaced
+    from modlat.literals import parse_zmodule
+
+    args = [parse_zmodule(text) for text in literals]
+    if table == "quotient_types":
+        args.append(_CAP_UNIVERSE)
+    elif table == "cokernel_types":
+        args.append(SMALL)
+    assert _pinned(_outcome(getattr(oracle, table), *args)) == _pinned(expected)
 
 
 def test_closure_result_type():
