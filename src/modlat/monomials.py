@@ -131,30 +131,40 @@ class MonomialIdeal:
         return "(" + ", ".join(terms) + ")"
 
 
-@lru_cache(maxsize=None)
-def _decompose(ideal: MonomialIdeal) -> tuple:
-    mixed = None
-    for g in ideal.sorted_gens():
-        if len(_support(g, ideal.context)) >= 2:
-            mixed = g
-            break
+def _irreducible_vectors(gens: frozenset) -> set:
+    """Exponent vectors a, each standing for m^a = (x_i^a_i : a_i > 0), whose
+    ideals intersect to the ideal of the minimal generators `gens`; some may
+    be redundant."""
+    mixed = min((g for g in gens if sum(e > 0 for e in g) >= 2), default=None)
     if mixed is None:
-        return (ideal,)
-    # Split the mixed generator at its first supported variable: with
-    # m = u * v and gcd(u, v) = 1, (G, m) = (G, u) /\ (G, v).
-    idx = next(i for i, e in enumerate(mixed) if e > 0)
-    u = tuple(mixed[i] if i == idx else 0 for i in range(len(mixed)))
-    v = tuple(0 if i == idx else mixed[i] for i in range(len(mixed)))
-    rest = ideal.gens - {mixed}
-    left = MonomialIdeal(ideal.context, rest | {u})
-    right = MonomialIdeal(ideal.context, rest | {v})
-    components = set(_decompose(left)) | set(_decompose(right))
-    # Drop a component when it contains another one (their intersection is
-    # the smaller ideal).
+        return {tuple(map(sum, zip(*gens)))}
+    # (G, uv) = (G, u) /\ (G, v) for coprime u and v, so (G, m) is the
+    # intersection of the (G, x_i^e) over the pure powers x_i^e of m.  The
+    # generators of G that x_i^e divides drop out, and none divides x_i^e,
+    # since it would then divide m.
+    rest = gens - {mixed}
+    out = set()
+    for i, e in enumerate(mixed):
+        if e:
+            pure = tuple(e if j == i else 0 for j in range(len(mixed)))
+            out |= _irreducible_vectors(
+                frozenset(g for g in rest if g[i] < e) | {pure})
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _decompose(ideal: MonomialIdeal) -> tuple:
+    # Drop a component m^a when it contains another one, m^b, that is when
+    # 0 < a_i <= b_i wherever b_i > 0 (their intersection is m^b); what is
+    # left is the unique irredundant decomposition.
+    vectors = _irreducible_vectors(ideal.gens)
+    n = len(ideal.context)
     kept = [
-        q
-        for q in components
-        if not any(other != q and other.leq(q) for other in components)
+        MonomialIdeal(ideal.context, frozenset(
+            tuple(e if j == i else 0 for j in range(n)) for i, e in enumerate(a) if e))
+        for a in vectors
+        if not any(b != a and all(0 < x <= y for x, y in zip(a, b) if y)
+                   for b in vectors)
     ]
     return tuple(sorted(kept, key=lambda q: q.sorted_gens()))
 

@@ -484,7 +484,7 @@ def close(generators, kinds, universe: Universe) -> ClosureResult:
         if iterations > CLOSE_MAX_ITERATIONS:
             raise OracleCapError("closure fixed point exceeded the iteration cap")
         produced = set()
-        for kind in kinds:
+        for kind in (k for k in CLOSURE_KINDS if k in kinds):
             for _, results in _applications(kind, current, universe, fresh):
                 produced |= results
         clipped = clipped or None in produced

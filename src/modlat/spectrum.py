@@ -11,7 +11,7 @@ closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import singledispatch
+from functools import cached_property, lru_cache, singledispatch
 from itertools import combinations
 
 Z_BACKEND = ("z",)
@@ -148,6 +148,16 @@ def all_monomial_primes(context) -> tuple:
     return tuple(primes)
 
 
+@lru_cache(maxsize=64)
+def _prime_table(context: tuple) -> tuple:
+    """The 2^n monomial primes of a context, indexed by variable bitmask
+    (bit i for context[i])."""
+    return tuple(
+        PrimeId.monomial(context, [v for i, v in enumerate(context) if mask >> i & 1])
+        for mask in range(1 << len(context))
+    )
+
+
 def _common_backend(primes, backend=None) -> tuple:
     backends = {p.backend for p in primes}
     if backend is not None:
@@ -200,25 +210,34 @@ class SpecSubset:
 
     # -- denotation -----------------------------------------------------
 
+    @cached_property
     def _denotation(self):
-        """("all",) for the whole spectrum of Z, else the frozen member set."""
+        """("all",) for the whole spectrum of Z, else the frozen member set,
+        computed once per instance."""
         if self.backend == Z_BACKEND:
             if self.closed and any(p.kind == "z_generic" for p in self.generators):
                 return ("all",)
             return self.generators
         if not self.closed:
             return self.generators
+        # V(p) is every prime whose variables contain p's: p's bitmask joined
+        # with each submask of its complement.
         context = self.backend[1]
-        members = set()
+        full = (1 << len(context)) - 1
+        masks = set()
         for gen in self.generators:
-            rest = [v for v in context if v not in gen.vars]
-            for size in range(len(rest) + 1):
-                for extra in combinations(rest, size):
-                    members.add(PrimeId.monomial(context, gen.vars | set(extra)))
-        return frozenset(members)
+            base = sum(1 << i for i, v in enumerate(context) if v in gen.vars)
+            rest = sub = full & ~base
+            while True:
+                masks.add(base | sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+        table = _prime_table(context)
+        return frozenset(table[mask] for mask in masks)
 
     def is_whole(self) -> bool:
-        den = self._denotation()
+        den = self._denotation
         if den == ("all",):
             return True
         if self.backend == Z_BACKEND:
@@ -226,10 +245,10 @@ class SpecSubset:
         return len(den) == 2 ** len(self.backend[1])
 
     def is_finite(self) -> bool:
-        return self._denotation() != ("all",)
+        return self._denotation != ("all",)
 
     def members(self) -> frozenset:
-        den = self._denotation()
+        den = self._denotation
         if den == ("all",):
             raise ValueError("subset denotes the whole (infinite) spectrum")
         return den
@@ -252,7 +271,7 @@ class SpecSubset:
                        for g in self.generators)
         if not self.closed:
             return self.generators <= other.generators
-        da = self._denotation()
+        da = self._denotation
         return da != ("all",) and da <= other.generators
 
     def join(self, other: "SpecSubset") -> "SpecSubset":
@@ -260,7 +279,7 @@ class SpecSubset:
             raise ValueError("backend mismatch")
         if self.closed and other.closed:
             return SpecSubset(self.backend, self.generators | other.generators, True)
-        da, db = self._denotation(), other._denotation()
+        da, db = self._denotation, other._denotation
         if da == ("all",) or db == ("all",):
             return SpecSubset.whole_spec(self.backend)
         return SpecSubset(self.backend, da | db, False)
@@ -268,7 +287,7 @@ class SpecSubset:
     def meet(self, other: "SpecSubset") -> "SpecSubset":
         if self.backend != other.backend:
             raise ValueError("backend mismatch")
-        da, db = self._denotation(), other._denotation()
+        da, db = self._denotation, other._denotation
         if da == ("all",):
             return other
         if db == ("all",):
@@ -302,11 +321,11 @@ class SpecSubset:
         return (
             isinstance(other, SpecSubset)
             and self.backend == other.backend
-            and self._denotation() == other._denotation()
+            and self._denotation == other._denotation
         )
 
     def __hash__(self) -> int:
-        return hash((self.backend, self._denotation()))
+        return hash((self.backend, self._denotation))
 
     def __str__(self) -> str:
         tag = "closure" if self.closed else "set"
@@ -330,23 +349,27 @@ def v_of_ideal(ideal) -> SpecSubset:
 
 
 def minimal_variable_covers(supports, context) -> tuple:
-    """Inclusion-minimal variable sets meeting every support in `supports`.
+    """Inclusion-minimal variable sets meeting every support in `supports`,
+    by size and then in context order.
 
     `supports` is an iterable of sets of variable names.  An empty support is
     uncoverable and yields no covers; an empty collection is covered by the
-    empty set.
+    empty set.  Berge's incremental transversals (Hypergraphs, 1989): after
+    each support, the covers that meet it stay, and each other cover grows by
+    one of its variables unless the result contains a cover that stayed.
     """
     context = tuple(context)
     _check_context(context)
-    supports = [frozenset(s) for s in supports]
-    if any(not s for s in supports):
+    bit = {v: 1 << i for i, v in enumerate(context)}
+    masks = [sum(bit.get(v, 0) for v in frozenset(s)) for s in supports]
+    if not all(masks):
         return ()
-    covers = []
-    for size in range(len(context) + 1):
-        for combo in combinations(context, size):
-            cand = frozenset(combo)
-            if any(c <= cand for c in covers):
-                continue
-            if all(cand & s for s in supports):
-                covers.append(cand)
-    return tuple(covers)
+    covers = [0]
+    for s in dict.fromkeys(masks):
+        kept = [c for c in covers if c & s]
+        grown = [c | b for c in covers if not c & s
+                 for b in bit.values() if b & s]
+        covers = kept + [g for g in grown if not any(k & g == k for k in kept)]
+    indices = range(len(context))
+    ordered = sorted(covers, key=lambda c: (c.bit_count(), [i for i in indices if c >> i & 1]))
+    return tuple(frozenset(v for v in context if c & bit[v]) for c in ordered)

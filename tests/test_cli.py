@@ -537,14 +537,32 @@ def test_snf_size_cap(capsys, monkeypatch):
 # -- one parser per process ---------------------------------------------------
 
 
-def _fresh_process(*argv):
-    """Exit code and stdout of `python -m modlat.cli argv` in a new interpreter."""
+def _fresh_run(argv, **env):
+    """`python -m modlat.cli argv` in a new interpreter, with `env` added to
+    its environment."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-m", "modlat.cli", *argv], env=env,
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               **env)
+    return subprocess.run([sys.executable, "-m", "modlat.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _fresh_process(*argv):
+    """Exit code and stdout of `python -m modlat.cli argv` in a new interpreter."""
+    done = _fresh_run(argv)
     return done.returncode, done.stdout
+
+
+def test_oracle_refusal_independent_of_hash_seed():
+    # Each kind meets a different over-cap class first; the kinds are tried in
+    # CLOSURE_KINDS order, so the message names the same class under any seed.
+    argv = ("oracle", "close", "--gens", "Z/512 + Z/512", "--kinds", "sub,quot",
+            "--primes", "2", "--max-exp", "9", "--max-factors", "2")
+    for seed in ("0", "2"):
+        done = _fresh_run(argv, PYTHONHASHSEED=seed)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: torsion order 262144 above cap 16384\n"), seed
 
 
 def test_parser_built_once():

@@ -2,13 +2,17 @@
 
 The brute-force oracle for minimal primes enumerates every monomial prime and
 tests ideal containment generator by generator, independently of the
-vertex-cover route under test.
+vertex-cover route under test.  Irreducible decompositions are compared with
+the leq-pruned splitting of `monomial_reference`.
 """
 
 import random
+from itertools import product
 
 import pytest
 
+import monomial_reference as reference
+from modlat import monomials, spectrum
 from modlat.monomials import (
     MonomialIdeal,
     MonomialModule,
@@ -164,6 +168,41 @@ def test_decomposition_intersection_property():
         for a in comps:
             for b in comps:
                 assert a is b or not a.leq(b)
+
+
+def test_decomposition_matches_reference_on_every_two_variable_ideal():
+    vectors = [v for v in product(range(3), repeat=2) if any(v)]
+    ideals = {MonomialIdeal.of(XY, [v for i, v in enumerate(vectors) if mask >> i & 1])
+              for mask in range(1, 2 ** len(vectors))}
+    assert len(ideals) == 18
+    for i in ideals:
+        assert irreducible_decomposition(i) == reference.decompose(i), i
+
+
+def test_decomposition_matches_reference_seeded():
+    rng = random.Random("exponent-vectors")
+    names = "abcdefgh"
+    for _ in range(400):
+        context = tuple(names[:rng.randint(1, 8)])
+        n = len(context)
+        vectors = []
+        for _ in range(rng.randint(1, 7)):
+            vec = [0] * n
+            for j in rng.sample(range(n), rng.randint(1, min(n, 4))):
+                vec[j] = rng.randint(1, 3)
+            vectors.append(tuple(vec))
+        i = MonomialIdeal.of(context, vectors)
+        assert irreducible_decomposition(i) == reference.decompose(i), i
+        assert (spectrum.minimal_variable_covers(i.supports(), context)
+                == reference.minimal_variable_covers(i.supports(), context)), i
+
+
+def test_monomial_caches_are_bounded():
+    caches = [value for module in (monomials, spectrum)
+              for value in vars(module).values() if hasattr(value, "cache_parameters")]
+    assert caches
+    for cache in caches:
+        assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
 
 
 def test_dim_height_duality():

@@ -1,11 +1,21 @@
-"""Prime and spectrum-subset lattice tests."""
+"""Prime and spectrum-subset lattice tests.
+
+Closure denotations and minimal variable covers are compared with the subset
+enumerations of `monomial_reference`.
+"""
+
+import json
+import random
 
 import pytest
 
+import monomial_reference as reference
+from modlat.cli import main
 from modlat.spectrum import (
     PrimeId,
     SpecSubset,
     Z_BACKEND,
+    _prime_table,
     all_monomial_primes,
     minimal_variable_covers,
     monomial_backend,
@@ -241,8 +251,6 @@ def test_leq_and_closedness_exhaustive_three_variables():
 
 
 def test_leq_and_closedness_sampled_four_variables():
-    import random
-
     context = ("a", "b", "c", "d")
     primes = all_monomial_primes(context)
     backend = monomial_backend(context)
@@ -279,3 +287,47 @@ def test_containment_across_backends_rejected():
                  (mono(["x"]), other)]:
         with pytest.raises(ValueError, match="different backends"):
             p.contained_in(q)
+
+
+# -- bitmask denotations and Berge covers against subset enumeration ---------
+
+
+@pytest.mark.parametrize("context, count", [(("a", "b", "c"), 20),
+                                            (("a", "b", "c", "d"), 168)])
+def test_denotation_and_covers_match_reference_on_every_antichain(context, count):
+    backend = monomial_backend(context)
+    chains = _antichains(all_monomial_primes(context))
+    assert len(chains) == count
+    for chain in chains:
+        subset = SpecSubset.closure(chain, backend=backend)
+        assert subset._denotation == reference.denotation(subset), subset
+        supports = [p.vars for p in chain]
+        assert (minimal_variable_covers(supports, context)
+                == reference.minimal_variable_covers(supports, context)), supports
+
+
+def test_denotation_and_covers_match_reference_seeded():
+    rng = random.Random("berge")
+    names = "abcdefgh"
+    for _ in range(2000):
+        context = tuple(names[:rng.randint(1, 8)])
+        # supports may repeat, nest or be empty
+        supports = [frozenset(rng.sample(context, rng.randint(0, len(context))))
+                    for _ in range(rng.randint(0, 7))]
+        assert (minimal_variable_covers(supports, context)
+                == reference.minimal_variable_covers(supports, context)), supports
+        subset = SpecSubset.closure([PrimeId.monomial(context, s) for s in supports],
+                                    backend=monomial_backend(context))
+        assert subset._denotation == reference.denotation(subset), subset
+
+
+def test_supp_request_expands_its_closure_once(capsys):
+    argv = ["supp", "--backend", "monomial", "--vars", "a,b,c,d,e,f,g,h",
+            "R/(a*b, c*d^2, e*f*g)"]
+    before = _prime_table.cache_info()
+    assert main(argv) == 0
+    after = _prime_table.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+    # the variable sets meeting {a, b}, {c, d} and {e, f, g}, with or without h
+    members = json.loads(capsys.readouterr().out)["supp"]["members"]
+    assert len(members) == 3 * 3 * 7 * 2
