@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, singledispatch
-from itertools import combinations
 
 Z_BACKEND = ("z",)
 
@@ -138,24 +137,29 @@ def _check_context(context):
         raise ValueError(f"context has {len(context)} variables, cap is {DEFAULT_MAX_VARS}")
 
 
-def all_monomial_primes(context) -> tuple:
-    context = tuple(context)
-    _check_context(context)
-    primes = []
-    for size in range(len(context) + 1):
-        for combo in combinations(context, size):
-            primes.append(PrimeId.monomial(context, combo))
-    return tuple(primes)
+def _by_size_then_context(masks, n: int) -> list:
+    """Variable bitmasks by popcount and then by their bits' indices, which
+    for each size is the order combinations(context, size) yields."""
+    return sorted(masks, key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]))
+
+
+def _prime_of_mask(context: tuple, mask: int) -> PrimeId:
+    return PrimeId.monomial(context, [v for i, v in enumerate(context) if mask >> i & 1])
 
 
 @lru_cache(maxsize=64)
 def _prime_table(context: tuple) -> tuple:
     """The 2^n monomial primes of a context, indexed by variable bitmask
-    (bit i for context[i])."""
-    return tuple(
-        PrimeId.monomial(context, [v for i, v in enumerate(context) if mask >> i & 1])
-        for mask in range(1 << len(context))
-    )
+    (bit i for context[i]); refused above DEFAULT_MAX_VARS variables."""
+    _check_context(context)
+    return tuple(_prime_of_mask(context, mask) for mask in range(1 << len(context)))
+
+
+def all_monomial_primes(context) -> tuple:
+    """Every monomial prime of the context, by size and then in context order."""
+    context = tuple(context)
+    table = _prime_table(context)
+    return tuple(table[mask] for mask in _by_size_then_context(range(len(table)), len(context)))
 
 
 def _common_backend(primes, backend=None) -> tuple:
@@ -233,6 +237,9 @@ class SpecSubset:
                 if not sub:
                     break
                 sub = (sub - 1) & rest
+        if len(context) > DEFAULT_MAX_VARS:
+            # no table past the cap: build only the members asked for
+            return frozenset(_prime_of_mask(context, mask) for mask in masks)
         table = _prime_table(context)
         return frozenset(table[mask] for mask in masks)
 
@@ -370,6 +377,5 @@ def minimal_variable_covers(supports, context) -> tuple:
         grown = [c | b for c in covers if not c & s
                  for b in bit.values() if b & s]
         covers = kept + [g for g in grown if not any(k & g == k for k in kept)]
-    indices = range(len(context))
-    ordered = sorted(covers, key=lambda c: (c.bit_count(), [i for i in indices if c >> i & 1]))
-    return tuple(frozenset(v for v in context if c & bit[v]) for c in ordered)
+    return tuple(frozenset(v for v in context if c & bit[v])
+                 for c in _by_size_then_context(covers, len(context)))

@@ -51,6 +51,16 @@ def test_monomial_supp(capsys):
     assert payload["supp"]["members"] == ["(x)", "(x,y)"]
 
 
+@pytest.mark.parametrize("module", ["0", "R/(1)"])
+def test_monomial_supp_of_zero_past_the_variable_cap(capsys, module):
+    # no generator, so nothing is expanded however many variables there are
+    names = ",".join(f"x{i}" for i in range(30))
+    code, payload = run_json(
+        capsys, "supp", "--backend", "monomial", "--vars", names, module)
+    assert code == 0
+    assert payload["supp"]["members"] == []
+
+
 def test_grade_command(capsys):
     code, payload = run_json(capsys, "grade", "--module", "Z", "--ideal", "(2)")
     assert code == 0

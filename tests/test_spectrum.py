@@ -6,6 +6,7 @@ enumerations of `monomial_reference`.
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -331,3 +332,30 @@ def test_supp_request_expands_its_closure_once(capsys):
     # the variable sets meeting {a, b}, {c, d} and {e, f, g}, with or without h
     members = json.loads(capsys.readouterr().out)["supp"]["members"]
     assert len(members) == 3 * 3 * 7 * 2
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_all_monomial_primes_by_size_then_combinations(n):
+    context = tuple("abcde"[:n])
+    expected = tuple(PrimeId.monomial(context, combo)
+                     for size in range(n + 1) for combo in combinations(context, size))
+    primes = all_monomial_primes(context)
+    assert primes == expected
+    assert [p.vars for p in primes] == [p.vars for p in expected]
+    assert len(_prime_table(context)) == 2 ** n
+
+
+def test_all_monomial_primes_refused_past_the_cap():
+    with pytest.raises(ValueError):
+        all_monomial_primes(tuple(f"x{i}" for i in range(9)))
+
+
+def test_closure_past_the_cap_builds_no_table():
+    # V(x0, ..., x28) in 30 variables has two members; the table would have 2^30
+    context = tuple(f"x{i}" for i in range(30))
+    subset = SpecSubset.closure([PrimeId.monomial(context, context[:29])])
+    before = _prime_table.cache_info()
+    assert subset.sorted_members() == [PrimeId.monomial(context, context[:29]),
+                                       PrimeId.monomial(context, context)]
+    after = _prime_table.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
