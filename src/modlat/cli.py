@@ -14,7 +14,7 @@ import sys
 from functools import lru_cache
 
 from . import classify, complexes, oracle, suites, zmodules
-from .classify import ClosureKind, SuiteReport
+from .classify import ClosureKind
 from .intlinalg import snf
 from .literals import (
     LiteralError,
@@ -29,6 +29,7 @@ from .literals import (
 )
 from .oracle import OracleCapError, Universe
 from .spectrum import PrimeId, Z_BACKEND, monomial_backend
+from .suites import SuiteReport
 
 KIND_BY_NAME = {k.value: k for k in ClosureKind}
 # Input caps, checked before any work.  A length-r Koszul sequence builds
@@ -245,22 +246,9 @@ def cmd_classify_member(args) -> tuple[int, dict]:
                "member": verdict, **source}
 
 
-def cmd_classify_examples(args) -> tuple[int, dict]:
-    backend = _backend_from_args(args)
-    report = classify.correspondence_suite(args.item, backend, args.trials,
-                                           args.seed)
-    return (0 if report.passed else 1), _report_payload(report)
-
-
-def cmd_classify_roundtrip(args) -> tuple[int, dict]:
-    backend = _backend_from_args(args)
-    report = classify.roundtrip_suite(backend, args.seed)
-    return (0 if report.passed else 1), _report_payload(report)
-
-
-def cmd_classify_adjunction(args) -> tuple[int, dict]:
-    backend = _backend_from_args(args)
-    report = suites.adjunction_suite(backend, args.seed)
+def cmd_classify_suite(args) -> tuple[int, dict]:
+    """`classify examples|roundtrip|adjunction`: the subcommand's suite."""
+    report = args.suite(args, _backend_from_args(args))
     return (0 if report.passed else 1), _report_payload(report)
 
 
@@ -413,17 +401,20 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--item", type=int, required=True)
     c.add_argument("--trials", type=int, default=500)
     c.add_argument("--seed", type=int, default=0)
-    c.set_defaults(handler=cmd_classify_examples)
+    c.set_defaults(handler=cmd_classify_suite, suite=lambda a, backend:
+                   suites.correspondence_suite(a.item, backend, a.trials, a.seed))
 
     c = csub.add_parser("roundtrip", help="bijection round-trip checks")
     add_backend(c)
     c.add_argument("--seed", type=int, default=0)
-    c.set_defaults(handler=cmd_classify_roundtrip)
+    c.set_defaults(handler=cmd_classify_suite, suite=lambda a, backend:
+                   suites.roundtrip_suite(backend, a.seed))
 
     c = csub.add_parser("adjunction", help="adjunction probe checks")
     add_backend(c)
     c.add_argument("--seed", type=int, default=0)
-    c.set_defaults(handler=cmd_classify_adjunction)
+    c.set_defaults(handler=cmd_classify_suite, suite=lambda a, backend:
+                   suites.adjunction_suite(backend, a.seed))
 
     p = sub.add_parser("oracle", help="finite-universe brute force")
     osub = p.add_subparsers(dest="subcommand", required=True)

@@ -21,6 +21,13 @@ from .spectrum import (
 )
 
 
+# Splitting mixed generators makes the decomposition's work grow
+# exponentially with the number of minimal generators.  Over 720 seeded
+# 8-variable ideals (supports of 4 to 7 variables, exponents up to 4) the
+# slowest took 0.70 s at 8 generators, 1.09 s at 9 and 1.62 s at 10.
+MAX_GENERATORS = 8
+
+
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -174,6 +181,9 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple:
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("decomposition is only defined for proper nonzero ideals")
     _check_context(ideal.context)
+    if len(ideal.gens) > MAX_GENERATORS:
+        raise ValueError(f"ideal has {len(ideal.gens)} minimal generators, "
+                         f"cap is {MAX_GENERATORS}")
     return _decompose(ideal)
 
 
@@ -194,6 +204,9 @@ def min_primes(ideal: MonomialIdeal) -> frozenset:
     if ideal.is_unit():
         raise ValueError("the unit ideal has no minimal primes")
     if ideal.is_zero():
+        # V(0) is the whole spectrum: refused past the variable cap, as
+        # minimal_variable_covers refuses every other ideal
+        _check_context(ideal.context)
         return frozenset({PrimeId.monomial(ideal.context, [])})
     covers = minimal_variable_covers(ideal.supports(), ideal.context)
     return frozenset(PrimeId.monomial(ideal.context, c) for c in covers)

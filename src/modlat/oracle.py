@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product, zip_longest
+from itertools import combinations, combinations_with_replacement, product, zip_longest
 
 from . import zmodules
 from .intlinalg import (
@@ -46,7 +46,10 @@ from .spectrum import is_prime_number
 from .zmodules import ZModule, ZModuleMap, direct_sum, presentation_matrix
 
 TORSION_ORDER_CAP = 2 ** 14
-CLOSE_MAX_ITERATIONS = 10_000
+# A universe of more classes is refused when it is built, before any class is
+# enumerated.  A closure adds at least one class per round, so it stops
+# within CLASS_CAP + 1 rounds.
+CLASS_CAP = 5000
 CLOSURE_KINDS = (
     "subobjects",
     "quotients",
@@ -70,14 +73,13 @@ class Universe:
     Members are Z^s + (sum of prime-power cyclics) with s <= max_rank, at
     most max_torsion_factors primary summands, primes from `primes` and
     exponents at most max_exponent.  A non-prime in `primes`, or a negative
-    bound, is a ValueError.
+    bound, is a ValueError; more than CLASS_CAP classes is an OracleCapError.
     """
 
     primes: tuple[int, ...]
     max_exponent: int
     max_rank: int
     max_torsion_factors: int
-    class_cap: int = 5000
 
     def __post_init__(self):
         for p in self.primes:
@@ -87,6 +89,22 @@ class Universe:
             if getattr(self, bound) < 0:
                 raise ValueError(f"{bound} must be nonnegative, got {getattr(self, bound)}")
         object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
+        if self.class_count() > CLASS_CAP:
+            raise OracleCapError(
+                f"universe has more than {CLASS_CAP} classes, cap is {CLASS_CAP}")
+
+    def class_count(self) -> int:
+        """(max_rank + 1) * C(k + f, f) for k prime powers and at most f
+        factors, multiplied out one factor at a time.  Once k > 0, C(k + i, i)
+        exceeds i, so the product passes CLASS_CAP within CLASS_CAP steps;
+        it stops there and returns that partial count."""
+        powers = len(self.primes) * self.max_exponent
+        count = self.max_rank + 1
+        for i in range(1, self.max_torsion_factors + 1 if powers else 1):
+            if count > CLASS_CAP:
+                break
+            count = count * (powers + i) // i
+        return count
 
     def prime_powers(self) -> tuple[int, ...]:
         return tuple(
@@ -114,24 +132,15 @@ class Universe:
 
 @lru_cache(maxsize=None)
 def _enumerate_universe(universe: Universe) -> tuple[ZModule, ...]:
+    # Each multiset of prime powers is one torsion class.
     powers = universe.prime_powers()
-    torsions = {()}
-    frontier = {()}
-    for _ in range(universe.max_torsion_factors):
-        frontier = {
-            tuple(sorted(t + (pw,))) for t in frontier for pw in powers
-        }
-        torsions |= frontier
-    out = []
-    for rank in range(universe.max_rank + 1):
-        for t in torsions:
-            out.append(ZModule.from_cyclic_orders(rank, t))
-    out = sorted(set(out), key=lambda m: (m.free_rank, len(m.torsion), m.torsion))
-    if len(out) > universe.class_cap:
-        raise OracleCapError(
-            f"universe has {len(out)} classes, cap is {universe.class_cap}"
-        )
-    return tuple(out)
+    out = [
+        ZModule.from_cyclic_orders(rank, t)
+        for rank in range(universe.max_rank + 1)
+        for size in range(universe.max_torsion_factors + 1)
+        for t in combinations_with_replacement(powers, size)
+    ]
+    return tuple(sorted(out, key=lambda m: (m.free_rank, len(m.torsion), m.torsion)))
 
 
 # -- torsion types as partitions ---------------------------------------------
@@ -481,8 +490,6 @@ def close(generators, kinds, universe: Universe) -> ClosureResult:
     fresh = set(current)
     while fresh:
         iterations += 1
-        if iterations > CLOSE_MAX_ITERATIONS:
-            raise OracleCapError("closure fixed point exceeded the iteration cap")
         produced = set()
         for kind in (k for k in CLOSURE_KINDS if k in kinds):
             for _, results in _applications(kind, current, universe, fresh):

@@ -16,6 +16,9 @@ from functools import cached_property, lru_cache, singledispatch
 Z_BACKEND = ("z",)
 
 DEFAULT_MAX_VARS = 8
+# psi_12, the least strong pseudoprime to each of the twelve bases 2, ..., 37
+# (Sorenson and Webster, Math. Comp. 2017).
+PRIME_TEST_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 
 def monomial_backend(context) -> tuple:
@@ -23,7 +26,11 @@ def monomial_backend(context) -> tuple:
 
 
 def is_prime_number(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond desk scale."""
+    """Miller-Rabin to the twelve prime bases 2, ..., 37.
+
+    Exact for every n below PRIME_TEST_EXACT_BELOW (about 3.2e23); above it
+    a composite can pass, so True there means only probably prime.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

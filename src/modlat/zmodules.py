@@ -25,13 +25,24 @@ from .intlinalg import (
     smith_diagonal,
     solve_echelon,
 )
-from .spectrum import PrimeId, SpecSubset, Z_BACKEND, v_of_ideal
+from .spectrum import (
+    PRIME_TEST_EXACT_BELOW,
+    PrimeId,
+    SpecSubset,
+    Z_BACKEND,
+    is_prime_number,
+    v_of_ideal,
+)
 
 INFINITY = math.inf
+# Trial division stops at this divisor, which takes about 0.1 s to reach.
+TRIAL_DIVISION_LIMIT = 10 ** 6
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division (desk scale)."""
+    """Prime factorization of n >= 1 by trial division up to
+    TRIAL_DIVISION_LIMIT.  A cofactor left past the limit counts as prime
+    only where `is_prime_number` is exact; any other is a ValueError."""
     return dict(_prime_powers(n))
 
 
@@ -43,14 +54,20 @@ def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
+    rest, d = n, 2
+    while d * d <= rest:
+        if d > TRIAL_DIVISION_LIMIT:
+            if rest >= PRIME_TEST_EXACT_BELOW or not is_prime_number(rest):
+                raise ValueError(
+                    f"cannot factor {n}: its cofactor {rest} has no prime factor "
+                    f"up to {TRIAL_DIVISION_LIMIT} and is not certified prime")
+            break
+        while rest % d == 0:
             out[d] = out.get(d, 0) + 1
-            n //= d
+            rest //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if rest > 1:
+        out[rest] = out.get(rest, 0) + 1
     return tuple(out.items())
 
 

@@ -8,12 +8,11 @@ the lines as they appear, or read the captured output on failure.
 import random
 from itertools import combinations
 
-from modlat import classify, suites
+from modlat import suites
 from modlat.classify import (
     ass_member,
     ass_union,
     cyclic_prime_quotient,
-    random_module,
     supp_member,
 )
 from modlat.intlinalg import IntMatrix, det, snf
@@ -25,6 +24,7 @@ from modlat.spectrum import (
     all_monomial_primes,
     monomial_backend,
 )
+from modlat.suites import random_module
 
 SEED = 2026
 UNIVERSE = Universe(primes=(2, 3), max_exponent=2, max_rank=1,
@@ -157,15 +157,15 @@ def test_criterion_09_coprimary():
 
 def test_criterion_10_membership_correspondences():
     failures = []
-    for item, spec in sorted(classify.CORRESPONDENCES.items()):
+    for item, spec in sorted(suites.CORRESPONDENCES.items()):
         backends = []
         if "z" in spec.backends:
             backends.append(Z_BACKEND)
         if "monomial" in spec.backends:
             backends.append(monomial_backend(("x", "y", "z")))
         for backend in backends:
-            r = classify.correspondence_suite(item, backend, trials=500,
-                                              seed=SEED)
+            r = suites.correspondence_suite(item, backend, trials=500,
+                                            seed=SEED)
             if not r.passed:
                 failures.append(
                     f"item {item} over {backend}: "

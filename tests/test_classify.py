@@ -7,15 +7,11 @@ import pytest
 from modlat.classify import (
     ClosureKind,
     Subcategory,
-    adjunction_report,
     ass_member,
     ass_of,
     ass_union,
-    correspondence_suite,
     cyclic_prime_quotient,
     generated_member,
-    random_zmodule,
-    roundtrip_suite,
     serre_part,
     supp_member,
     supp_of,
@@ -24,6 +20,12 @@ from modlat.classify import (
 )
 from modlat.monomials import MonomialIdeal, MonomialModule
 from modlat.spectrum import PrimeId, SpecSubset, Z_BACKEND, monomial_backend
+from modlat.suites import (
+    adjunction_report,
+    correspondence_suite,
+    random_zmodule,
+    roundtrip_suite,
+)
 from modlat.zmodules import IdealZ, ZModule, grade_ideal, is_torsionfree
 
 XY = ("x", "y")

@@ -547,6 +547,54 @@ def test_snf_size_cap(capsys, monkeypatch):
 # -- one parser per process ---------------------------------------------------
 
 
+_VARS_8 = "a,b,c,d,e,f,g,h"
+_VARS_30 = ",".join(f"x{i}" for i in range(30))
+_PAIRS = ("a*b", "a*c", "a*d", "a*e", "a*f", "a*g", "a*h", "b*c", "b*d")
+
+
+# Each request at a cap and one past it.  Koszul and Smith caps are tested
+# above, the universe's negative bounds and non-primes with _one_error_line.
+@pytest.mark.parametrize("argv, code", [
+    # the zero ideal's support: V(0) is the whole spectrum
+    (("supp", "--backend", "monomial", "--vars", _VARS_8, "R"), 0),
+    (("supp", "--backend", "monomial", "--vars", _VARS_8 + ",i", "R"), 2),
+    (("supp", "--backend", "monomial", "--vars", _VARS_30, "R"), 2),
+    # irreducible decompositions, at most 8 minimal generators
+    (("ass", "--backend", "monomial", "--vars", _VARS_8,
+      "R/(" + ",".join(_PAIRS[:8]) + ")"), 0),
+    (("ass", "--backend", "monomial", "--vars", _VARS_8,
+      "R/(" + ",".join(_PAIRS) + ")"), 2),
+    # universes of at most 5,000 classes, counted before any is built:
+    # (249 + 1) * C(3 + 3, 3) = 5,000 and (250 + 1) * 20 = 5,020
+    (("oracle", "close", "--gens", "Z/2", "--kinds", "sub", "--primes", "2,3,5",
+      "--max-exp", "1", "--max-rank", "249", "--max-factors", "3"), 0),
+    (("oracle", "close", "--gens", "Z/2", "--kinds", "sub", "--primes", "2,3,5",
+      "--max-exp", "1", "--max-rank", "250", "--max-factors", "3"), 2),
+    (("oracle", "close", "--gens", "Z/2", "--kinds", "sub", "--primes", "2,3,5,7",
+      "--max-exp", "50", "--max-factors", "8"), 2),
+    (("oracle", "close", "--gens", "Z/2", "--kinds", "sub", "--primes", "2",
+      "--max-exp", str(10 ** 9), "--max-factors", str(10 ** 9)), 2),
+    # trial division up to 10^6: two primes below it, then two above it
+    (("supp", f"Z/{999979 * 999983}"), 0),
+    (("supp", f"Z/{1000003 * 1000033}"), 2),
+    # a 20-digit prime left past the limit, which Miller-Rabin certifies
+    (("koszul", "10000000000000000051,0"), 0),
+    (("supp", "Z/10000000000000000051"), 0),
+    (("module", "Z/10000000000000000051"), 0),
+    # psi_12, the least strong pseudoprime to bases 2..37, is not certified
+    (("supp", "Z/318665857834031151167461"), 2),
+])
+def test_requests_at_and_past_each_cap(capsys, argv, code):
+    start = time.process_time()
+    if code == 2:
+        _one_error_line(capsys, *argv)
+    else:
+        assert main(list(argv)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out
+    assert time.process_time() - start < 2.0
+
+
 def _fresh_run(argv, **env):
     """`python -m modlat.cli argv` in a new interpreter, with `env` added to
     its environment."""

@@ -94,7 +94,23 @@ def test_universe_sorts_and_dedups_primes():
 def test_universe_cap():
     with pytest.raises(OracleCapError):
         Universe(primes=(2, 3, 5, 7), max_exponent=4, max_rank=2,
-                 max_torsion_factors=4, class_cap=100).members()
+                 max_torsion_factors=4).members()
+
+
+def test_universe_class_count_matches_its_members():
+    for k, exponent, factors, rank in product(range(4), range(4), range(4), range(3)):
+        u = Universe(primes=(2, 3, 5)[:k], max_exponent=exponent, max_rank=rank,
+                     max_torsion_factors=factors)
+        members = u.members()
+        assert u.class_count() == len(members) == len(set(members))
+        assert all(m in u for m in members)
+
+
+def test_universe_refused_before_enumeration():
+    # C(10**9 + 10**9, 10**9) classes: the count stops once past the cap
+    with pytest.raises(OracleCapError, match="more than 5000 classes"):
+        Universe(primes=(2,), max_exponent=10 ** 9, max_rank=0,
+                 max_torsion_factors=10 ** 9)
 
 
 def test_subobject_types_examples():

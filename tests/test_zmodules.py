@@ -446,3 +446,39 @@ def test_factorize_cache_is_bounded_and_results_are_fresh():
     with pytest.raises(ValueError):
         zmodules.factorize(0)
     assert zmodules._prime_powers.cache_info().maxsize is not None
+
+
+def _factor_by_every_divisor(n):
+    out, d = {}, 2
+    while n > 1:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+        if d * d > n > 1:
+            out[n] = out.get(n, 0) + 1
+            break
+    return out
+
+
+def test_factorize_matches_trial_division_by_every_divisor():
+    from modlat import zmodules
+
+    rng = random.Random(1601)
+    for n in [1, 2, 10 ** 7] + [rng.randint(1, 10 ** 7) for _ in range(300)]:
+        assert zmodules.factorize(n) == _factor_by_every_divisor(n), n
+
+
+def test_factorize_past_the_trial_limit():
+    from modlat import zmodules
+
+    assert zmodules.TRIAL_DIVISION_LIMIT == 10 ** 6
+    # a prime cofactor past the limit, certified by Miller-Rabin
+    assert zmodules.factorize(12 * 10000000000000000051) == {
+        2: 2, 3: 1, 10000000000000000051: 1}
+    # the two primes above the limit leave a composite cofactor
+    with pytest.raises(ValueError, match="^cannot factor 1000036000099: "):
+        zmodules.factorize(1000003 * 1000033)
+    # psi_12 passes the twelve Miller-Rabin bases, so it is not certified
+    with pytest.raises(ValueError, match="^cannot factor 318665857834031151167461: "):
+        zmodules.factorize(318665857834031151167461)
