@@ -24,7 +24,8 @@ from .spectrum import (
 # Splitting mixed generators makes the decomposition's work grow
 # exponentially with the number of minimal generators.  Over 720 seeded
 # 8-variable ideals (supports of 4 to 7 variables, exponents up to 4) the
-# slowest took 0.70 s at 8 generators, 1.09 s at 9 and 1.62 s at 10.
+# slowest took 0.70 s at 8 generators, 1.09 s at 9 and 1.62 s at 10 (CPU
+# time, one Xeon vCPU).
 MAX_GENERATORS = 8
 
 

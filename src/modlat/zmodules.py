@@ -35,7 +35,8 @@ from .spectrum import (
 )
 
 INFINITY = math.inf
-# Trial division stops at this divisor, which takes about 0.1 s to reach.
+# Trial division stops at this divisor, which takes about 0.1 s to reach
+# (one Xeon vCPU).
 TRIAL_DIVISION_LIMIT = 10 ** 6
 
 
