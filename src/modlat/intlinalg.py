@@ -94,8 +94,9 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.data[i]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Every column, read in one pass."""
+        return tuple(zip(*self.data)) if self.rows else ((),) * self.cols
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -373,12 +374,14 @@ def _rank_and_minor(rows) -> tuple[int, int]:
     column.
 
     The column order keeps needless primes out of M, for the callers that
-    know no minor of their own (Koszul tables read theirs from the sequence,
-    see `complexes`).  Taken in their own order, the columns of some Koszul
-    differentials give an M that shares a prime with every term, so
-    `smith_diagonal` finds no unit modulo M and `_make_unit` fills in the
-    pivot column; in least-entry order M was a power of the smallest term on
-    every one measured.
+    know no minor of their own.  Koszul tables read theirs from the sequence
+    (see `complexes`), and kernels, cokernels and subgroup classes from the
+    canonical relations, which leave only a map's rows at free target
+    generators to this pass (see `zmodules.kernel`).  Taken in their
+    own order, the columns of some Koszul differentials give an M that
+    shares a prime with every term, so `smith_diagonal` finds no unit modulo
+    M and `_make_unit` fills in the pivot column; in least-entry order M was
+    a power of the smallest term on every one measured.
     """
     cols = [list(col) for col in zip(*rows) if any(col)]
     cols.sort(key=lambda col: min(map(abs, filter(None, col))))
@@ -535,7 +538,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     """
     dec = snf(a)
     rank = sum(1 for x in dec.diagonal() if x != 0)
-    cols = [dec.v.column(j) for j in range(rank, a.cols)]
+    cols = dec.v.columns()[rank:]
     return IntMatrix.from_columns(cols, rows=a.cols)
 
 
@@ -589,7 +592,7 @@ def column_basis(a: IntMatrix) -> IntMatrix:
 
 def echelon_pivots(basis: IntMatrix) -> tuple[list, list[int]]:
     """The columns of a `column_basis` result and their pivot rows."""
-    cols = [basis.column(k) for k in range(basis.cols)]
+    cols = list(basis.columns())
     return cols, [next(i for i, v in enumerate(col) if v) for col in cols]
 
 
@@ -618,8 +621,8 @@ def solve_echelon(basis: IntMatrix, b: IntMatrix) -> IntMatrix | None:
         raise ValueError("row count mismatch")
     cols, pivots = echelon_pivots(basis)
     x = []
-    for j in range(b.cols):
-        rest = list(b.column(j))
+    for column in b.columns():
+        rest = list(column)
         x.append(forward_substitute(cols, pivots, rest))
         if any(rest):
             return None

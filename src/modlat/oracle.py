@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product, zip_longest
+from math import gcd
 
 from . import zmodules
 from .intlinalg import (
@@ -106,13 +107,6 @@ class Universe:
             count = count * (powers + i) // i
         return count
 
-    def prime_powers(self) -> tuple[int, ...]:
-        return tuple(
-            p ** e
-            for p in self.primes
-            for e in range(1, self.max_exponent + 1)
-        )
-
     def members(self) -> tuple[ZModule, ...]:
         return _enumerate_universe(self)
 
@@ -132,14 +126,17 @@ class Universe:
 
 @lru_cache(maxsize=None)
 def _enumerate_universe(universe: Universe) -> tuple[ZModule, ...]:
-    # Each multiset of prime powers is one torsion class.
-    powers = universe.prime_powers()
-    out = [
-        ZModule.from_cyclic_orders(rank, t)
-        for rank in range(universe.max_rank + 1)
-        for size in range(universe.max_torsion_factors + 1)
-        for t in combinations_with_replacement(powers, size)
-    ]
+    # Each multiset of (p, e) pairs is one torsion class, built from its
+    # type at each prime without factoring: pairs come by p, e descending.
+    powers = [(p, e) for p in universe.primes for e in range(universe.max_exponent, 0, -1)]
+    torsion = []
+    for size in range(universe.max_torsion_factors + 1):
+        for combo in combinations_with_replacement(powers, size):
+            parts: dict[int, tuple[int, ...]] = {}
+            for p, e in combo:
+                parts[p] = parts.get(p, ()) + (e,)
+            torsion.append(_module(0, parts.items()).torsion)
+    out = [ZModule(rank, t) for rank in range(universe.max_rank + 1) for t in torsion]
     return tuple(sorted(out, key=lambda m: (m.free_rank, len(m.torsion), m.torsion)))
 
 
@@ -551,7 +548,7 @@ class _Subgroup:
         minus the last-row residue, modulo d.
         """
         g, k = self.basis.shape
-        rows = [(xi,) + row for xi, row in zip(x.column(0), self.basis.data)]
+        rows = [(xi,) + row for (xi,), row in zip(x.data, self.basis.data)]
         rows.append((1,) + (0,) * k)
         cols, pivots = echelon_pivots(column_basis(IntMatrix._from_rows(rows, g + 1, k + 1)))
         d = 0
@@ -559,8 +556,8 @@ class _Subgroup:
             d = cols.pop()[g]
             pivots.pop()
         coeffs = []
-        for j in range(stage_gens.cols):
-            rest = list(stage_gens.column(j)) + [0]
+        for column in stage_gens.columns():
+            rest = list(column) + [0]
             forward_substitute(cols, pivots, rest)
             if any(rest[:g]):
                 raise AssertionError("stage generator escaped stage = below + Z*x")
@@ -691,7 +688,7 @@ def derive_submodule(ambient: ZModule, gens: IntMatrix) -> DerivationTrace:
             quotient_type = ZModule.free(1)
         else:
             endo = zmodules.scalar_map(d, stage_type).matrix
-            q = zmodules.cokernel(ZModuleMap(stage_type, stage_type, endo))
+            q = _scalar_cokernel(d, stage_type)
             steps.append(TraceStep("cokernel", (current_idx,), endo, q))
             quotient_type = ZModule.cyclic(d)
             if q == quotient_type:
@@ -704,12 +701,21 @@ def derive_submodule(ambient: ZModule, gens: IntMatrix) -> DerivationTrace:
                 quotient_idx = len(steps) - 1
         pi = IntMatrix._from_rows([coeffs], 1, stage_type.generator_count)
         below_type = (forms[pos - 2][0] if pos > 1
-                      else zmodules.from_presentation(below.relations()))
+                      else zmodules.lattice_type(ambient, below.basis))
         steps.append(TraceStep(
             "kernel", (current_idx, quotient_idx), pi, below_type
         ))
         current_idx = len(steps) - 1
     return DerivationTrace(ambient, tuple(steps))
+
+
+def _scalar_cokernel(d: int, module: ZModule) -> ZModule:
+    """Cokernel of multiplication by d >= 1 on `module`: Z/gcd(d, a) for each
+    invariant factor a, and Z/d for each free generator.  These orders divide
+    one another in the order of the factors, and all divide d, so dropping
+    the units leaves the canonical chain."""
+    orders = [gcd(d, a) for a in module.torsion] + [d] * module.free_rank
+    return ZModule(0, tuple(x for x in orders if x > 1))
 
 
 def _killing_endo(module: ZModule, index: int) -> IntMatrix:

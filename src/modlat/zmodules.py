@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .intlinalg import (
     IntMatrix,
-    cokernel_structure,
+    _diagonal_modulo,
+    _rank_and_minor,
     column_basis,
     hstack,
-    smith_diagonal,
     solve_echelon,
 )
 from .spectrum import (
@@ -42,8 +42,9 @@ TRIAL_DIVISION_LIMIT = 10 ** 6
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 by trial division up to
-    TRIAL_DIVISION_LIMIT.  A cofactor left past the limit counts as prime
-    only where `is_prime_number` is exact; any other is a ValueError."""
+    TRIAL_DIVISION_LIMIT.  A cofactor left past the limit is accepted only
+    as a power p^k of a prime p where `is_prime_number` is exact; any other
+    is a ValueError."""
     return dict(_prime_powers(n))
 
 
@@ -58,11 +59,19 @@ def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     rest, d = n, 2
     while d * d <= rest:
         if d > TRIAL_DIVISION_LIMIT:
-            if rest >= PRIME_TEST_EXACT_BELOW or not is_prime_number(rest):
-                raise ValueError(
-                    f"cannot factor {n}: its cofactor {rest} has no prime factor "
-                    f"up to {TRIAL_DIVISION_LIMIT} and is not certified prime")
-            break
+            # No prime up to the limit divides rest, so it is p^k for a
+            # prime p above the limit, certified where the test is exact,
+            # or it is refused.
+            for k in range(1, rest.bit_length()):
+                p = _integer_root(rest, k)
+                if p <= TRIAL_DIVISION_LIMIT:
+                    break
+                if p ** k == rest and p < PRIME_TEST_EXACT_BELOW and is_prime_number(p):
+                    out[p] = k
+                    return tuple(out.items())
+            raise ValueError(
+                f"cannot factor {n}: its cofactor {rest} has no prime factor "
+                f"up to {TRIAL_DIVISION_LIMIT} and is not certified prime")
         while rest % d == 0:
             out[d] = out.get(d, 0) + 1
             rest //= d
@@ -70,6 +79,14 @@ def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     if rest > 1:
         out[rest] = out.get(rest, 0) + 1
     return tuple(out.items())
+
+
+def _integer_root(n: int, k: int) -> int:
+    """The floor of the k-th root of n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
@@ -206,8 +223,7 @@ def direct_sum(*modules: ZModule) -> ZModule:
 
 def from_presentation(a: IntMatrix) -> ZModule:
     """Cokernel of `a` (rows = generators, columns = relations)."""
-    rank, factors = cokernel_structure(a)
-    return ZModule(rank, factors)
+    return _cokernel_of(a, *_rank_and_minor(a.data))
 
 
 def presentation_matrix(m: ZModule) -> IntMatrix:
@@ -418,18 +434,41 @@ def kernel(f: ZModuleMap) -> ZModule:
     relations.  A1 = A·R_M / R_N is exact on the torsion rows because f
     respects the relations, and the free rows of A·R_M are zero.  H_1 is
     Z^(n_1 - rk d_1 - rk d_2) plus the nonunit invariant factors of d_2.
+    The relations give both ranks and d_2's minor: the top block of R_M is
+    diag(s), so d_2 has rank k_M and the nonzero minor prod(s), and d_1 has
+    rank k_N + rk A_free (`_relations_rank_and_minor`).  So only d_2 takes a
+    Smith diagonal.
     """
     s, t = f.source.torsion, f.target.torsion
     d2 = IntMatrix._from_rows(presentation_matrix(f.source).data + tuple(
         [-(f.matrix[i, j] * s[j] // t[i]) for j in range(len(s))] for i in range(len(t))),
         f.source.generator_count + len(t), len(s))
-    free, factors = cokernel_structure(d2)
-    d1 = hstack(f.matrix, presentation_matrix(f.target))
-    return ZModule(free - sum(1 for x in smith_diagonal(d1) if x), factors)
+    h = _cokernel_of(d2, len(s), prod(s))
+    return ZModule(h.free_rank - _relations_rank_and_minor(f)[0], h.torsion)
 
 
 def cokernel(f: ZModuleMap) -> ZModule:
-    return from_presentation(hstack(f.matrix, presentation_matrix(f.target)))
+    """Z^(g_N) / [A | R_N], on the rank and minor the relations give."""
+    return _cokernel_of(hstack(f.matrix, presentation_matrix(f.target)),
+                        *_relations_rank_and_minor(f))
+
+
+def _relations_rank_and_minor(f: ZModuleMap) -> tuple[int, int]:
+    """Rank r of [A | R_N] and |M| for a nonzero r x r minor M of it.
+    Over Q the columns of R_N span the k_N torsion rows, so r is k_N plus
+    the rank of A_free, the free rows of A; permuted, [A | R_N] is block
+    triangular with diag(t) as one block, so M is prod(t) times a minor of
+    A_free.  A_free usually has no rows at all."""
+    t = f.target.torsion
+    rank, minor = _rank_and_minor(f.matrix.data[len(t):])
+    return len(t) + rank, prod(t) * minor
+
+
+def _cokernel_of(a: IntMatrix, rank: int, minor: int) -> ZModule:
+    """`from_presentation(a)`, given the rank of `a` and |M| for a nonzero
+    rank x rank minor M of it."""
+    diag = _diagonal_modulo(a, rank, minor)
+    return ZModule(a.rows - rank, tuple(x for x in diag if x > 1))
 
 
 def image(f: ZModuleMap) -> ZModule:
@@ -446,10 +485,21 @@ def subgroup_lattice(ambient: ZModule, gens: IntMatrix) -> IntMatrix:
 
 
 def subgroup_type(ambient: ZModule, gens: IntMatrix) -> ZModule:
-    """Class of the subgroup the columns of `gens` generate: the ambient
-    relations in the coordinates of its lattice basis present it."""
-    lattice = subgroup_lattice(ambient, gens)
-    return from_presentation(solve_echelon(lattice, presentation_matrix(ambient)))
+    """Class of the subgroup the columns of `gens` generate."""
+    return lattice_type(ambient, subgroup_lattice(ambient, gens))
+
+
+def lattice_type(ambient: ZModule, lattice: IntMatrix) -> ZModule:
+    """Class of a subgroup from a `column_basis` of its lattice that spans
+    the ambient relations, as `subgroup_lattice` gives: those relations X
+    in basis coordinates present the subgroup.  The relations diag(s)
+    lead in the k torsion rows, so the first k pivots lie there and later
+    columns are zero there; the basis's lower triangular top-left block
+    times X's first k rows is diag(s).  So X has rank k and the minor
+    prod(s) / (the product of the first k pivots)."""
+    k = len(ambient.torsion)
+    minor = prod(ambient.torsion) // prod(lattice[j, j] for j in range(k))
+    return _cokernel_of(solve_echelon(lattice, presentation_matrix(ambient)), k, minor)
 
 
 # -- filtrations and coprimary structure ---------------------------------

@@ -356,6 +356,15 @@ def _one_error_line(capsys, *argv):
     return lines[0]
 
 
+def test_prime_power_past_the_trial_limit(capsys):
+    # 1000003^2: its prime is past the trial limit and is found as a root
+    assert main(["module", "Z/1000006000009"]) == 0
+    assert json.loads(capsys.readouterr().out)["canonical"] == "Z/1000006000009"
+    assert _one_error_line(capsys, "module", f"Z/{1000003 * 1000033}") == (
+        "error: cannot factor 1000036000099: its cofactor 1000036000099 has no "
+        "prime factor up to 1000000 and is not certified prime")
+
+
 @pytest.mark.parametrize("primes", ["4", "6", "0", "1", "-2", "2,9"])
 def test_oracle_close_refuses_non_primes(capsys, primes):
     bad = primes.split(",")[-1]

@@ -8,7 +8,8 @@ sets they classify.
 """
 
 import random
-from itertools import product
+import time
+from itertools import combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -104,6 +105,41 @@ def test_universe_class_count_matches_its_members():
         members = u.members()
         assert u.class_count() == len(members) == len(set(members))
         assert all(m in u for m in members)
+
+
+def _members_by_factoring(universe):
+    """The universe by the enumeration `_enumerate_universe` replaced: each
+    multiset of prime powers canonicalized by factoring its orders."""
+    powers = [p ** e for p in universe.primes
+              for e in range(1, universe.max_exponent + 1)]
+    out = [ZModule.from_cyclic_orders(rank, t)
+           for rank in range(universe.max_rank + 1)
+           for size in range(universe.max_torsion_factors + 1)
+           for t in combinations_with_replacement(powers, size)]
+    return tuple(sorted(out, key=lambda m: (m.free_rank, len(m.torsion), m.torsion)))
+
+
+def test_universe_members_built_without_factoring():
+    from modlat.suites import ACCEPTANCE_UNIVERSE
+
+    for u in (
+        # the benchmark's SMALL_UNIVERSE
+        Universe(primes=(2, 3), max_exponent=1, max_rank=1, max_torsion_factors=2),
+        ACCEPTANCE_UNIVERSE,
+        # the CI closures: the CLI default, the torsion cap and past it
+        Universe(primes=(2, 3), max_exponent=2, max_rank=1, max_torsion_factors=2),
+        Universe(primes=(2,), max_exponent=7, max_rank=1, max_torsion_factors=2),
+        Universe(primes=(2,), max_exponent=9, max_rank=1, max_torsion_factors=2),
+        # three primes, two of rank and three factors
+        Universe(primes=(2, 3, 5), max_exponent=2, max_rank=2, max_torsion_factors=3),
+    ):
+        assert u.members() == _members_by_factoring(u), u
+    # the CI's 5,000 classes, which factoring took seconds to enumerate
+    start = time.process_time()
+    u = Universe(primes=(2,), max_exponent=4999, max_rank=0, max_torsion_factors=1)
+    assert u.members() == (ZModule.zero(),) + tuple(
+        ZModule(0, (2 ** e,)) for e in range(1, 5000))
+    assert time.process_time() - start < 2.0
 
 
 def test_universe_refused_before_enumeration():
@@ -654,6 +690,17 @@ def test_derive_submodule_random():
         assert all(s.op in allowed for s in trace.steps)
 
 
+def test_scalar_cokernel_closed_form_matches_general_cokernel():
+    rng = random.Random("scalar-cokernel")
+    modules = [ZModule.zero(), ZModule.free(2), ZModule.cyclic(12)]
+    modules += [ZModule.from_cyclic_orders(rng.randrange(3), [
+        rng.randint(2, 60) for _ in range(rng.randrange(4))]) for _ in range(80)]
+    for m in modules:
+        for d in (1, 2, 6, rng.randint(1, 100), rng.randint(1, 10 ** 6)):
+            assert oracle._scalar_cokernel(d, m) == zmodules.cokernel(
+                zmodules.scalar_map(d, m)), (d, m)
+
+
 def test_derivation_takes_one_snf_per_kernel_step_and_no_inverse(monkeypatch):
     # each stage's canonical generators take one Smith form, which also
     # gives U^-1; the colon step takes none
@@ -741,6 +788,25 @@ def test_kernels_and_subgroup_classes_take_no_smith_transform(monkeypatch):
     assert zmodules.from_presentation(sub.relations()) == ZModule.cyclic(2)
     assert subgroup_type(ambient, gens) == ZModule.cyclic(2)
     assert trace.replay() == ZModule.cyclic(2)
+
+
+def test_lattice_type_matches_the_presented_relations():
+    # along each derivation chain, as the stages grow one generator at a time
+    rng = random.Random("lattice-type")
+    for _ in range(150):
+        ambient = ZModule.from_cyclic_orders(rng.randrange(3), [
+            rng.choice((2, 3, 4, 6, 9, 12)) for _ in range(rng.randrange(4))])
+        g = ambient.generator_count
+        if g == 0:
+            continue
+        gens = IntMatrix.from_columns([[rng.randint(-3, 3) for _ in range(g)]
+                                       for _ in range(rng.randint(1, 2))], rows=g)
+        stage = oracle._Subgroup(ambient, subgroup_lattice(ambient, gens))
+        for i in range(g):
+            expected = zmodules.from_presentation(stage.relations())
+            assert zmodules.lattice_type(ambient, stage.basis) == expected, (ambient, gens)
+            x = IntMatrix.from_columns([[int(r == i) for r in range(g)]], rows=g)
+            stage = stage.with_element(x)
 
 
 def test_replay_detects_tampering():

@@ -11,7 +11,16 @@ from itertools import product
 
 import pytest
 
-from modlat.intlinalg import IntMatrix, column_basis, hstack, kernel_basis, solve
+from modlat.intlinalg import (
+    IntMatrix,
+    cokernel_structure,
+    column_basis,
+    hstack,
+    kernel_basis,
+    smith_diagonal,
+    solve,
+    solve_echelon,
+)
 from modlat.spectrum import PrimeId, SpecSubset, Z_BACKEND
 from modlat.zmodules import (
     INFINITY,
@@ -42,6 +51,7 @@ from modlat.zmodules import (
     presentation_matrix,
     rank,
     scalar_map,
+    subgroup_lattice,
     supp,
     torsion_submodule,
 )
@@ -309,6 +319,18 @@ def _domain_lattice(f):
     return column_basis(IntMatrix(ker.data[:gs], rows=gs, cols=ker.cols))
 
 
+def _kernel_by_two_diagonals(f):
+    """ker f as the cone's H_1 with both Smith diagonals taken in full, the
+    rank of [A | R_N] read off its own diagonal."""
+    s, t = f.source.torsion, f.target.torsion
+    d2 = IntMatrix([list(row) for row in presentation_matrix(f.source).data] + [
+        [-(f.matrix[i, j] * s[j] // t[i]) for j in range(len(s))] for i in range(len(t))],
+        rows=f.source.generator_count + len(t), cols=len(s))
+    free, factors = cokernel_structure(d2)
+    d1 = hstack(f.matrix, presentation_matrix(f.target))
+    return ZModule(free - sum(1 for x in smith_diagonal(d1) if x), factors)
+
+
 def test_kernel_and_image_match_transform_path():
     rng = random.Random("cone-kernel")
     edge = [ZModule.zero(), ZModule.free(1), ZModule.free(2), ZModule.cyclic(6),
@@ -319,13 +341,23 @@ def test_kernel_and_image_match_transform_path():
             ZModule.from_cyclic_orders(rng.randrange(3), [
                 rng.randint(2, 27) for _ in range(rng.randrange(4))])
             for _ in range(2)))
+    for _ in range(60):  # free targets, where A_free is all of A
+        pairs.append((ZModule.from_cyclic_orders(rng.randrange(4), [
+            rng.randint(2, 27) for _ in range(rng.randrange(3))]),
+            ZModule.free(rng.randint(1, 3))))
     for m, n in pairs:
-        for _ in range(2):
-            f = _random_map(rng, m, n)
+        zero = ZModuleMap(m, n, IntMatrix.zeros(n.generator_count, m.generator_count))
+        for f in (_random_map(rng, m, n), _random_map(rng, m, n), zero):
             lattice = _domain_lattice(f)
             assert kernel(f) == from_presentation(
                 solve(lattice, presentation_matrix(m))), (m, n, f.matrix)
+            assert kernel(f) == _kernel_by_two_diagonals(f), (m, n, f.matrix)
+            assert cokernel(f) == from_presentation(
+                hstack(f.matrix, presentation_matrix(n))), (m, n, f.matrix)
             assert image(f) == from_presentation(lattice), (m, n, f.matrix)
+            target_lattice = subgroup_lattice(n, f.matrix)
+            assert image(f) == from_presentation(solve_echelon(
+                target_lattice, presentation_matrix(n))), (m, n, f.matrix)
 
 
 def test_cyclic_filtration_examples():
@@ -476,9 +508,17 @@ def test_factorize_past_the_trial_limit():
     # a prime cofactor past the limit, certified by Miller-Rabin
     assert zmodules.factorize(12 * 10000000000000000051) == {
         2: 2, 3: 1, 10000000000000000051: 1}
+    # powers of a certified prime above the limit, found by integer roots
+    assert zmodules.factorize(1000003 ** 2) == {1000003: 2}
+    assert zmodules.factorize(12 * 1000003 ** 5) == {2: 2, 3: 1, 1000003: 5}
+    assert zmodules.factorize(10000000000000000051 ** 3) == {10000000000000000051: 3}
     # the two primes above the limit leave a composite cofactor
     with pytest.raises(ValueError, match="^cannot factor 1000036000099: "):
         zmodules.factorize(1000003 * 1000033)
+    # a square whose root is that composite
+    square = (1000003 * 1000033) ** 2
+    with pytest.raises(ValueError, match=f"^cannot factor {square}: its cofactor {square} "):
+        zmodules.factorize(square)
     # psi_12 passes the twelve Miller-Rabin bases, so it is not certified
     with pytest.raises(ValueError, match="^cannot factor 318665857834031151167461: "):
         zmodules.factorize(318665857834031151167461)
