@@ -4,13 +4,14 @@ Everything here runs on Python ints, so entry growth during elimination is
 absorbed by arbitrary precision arithmetic.  These routines are the substrate
 for the rest of the package: Smith diagonals give canonical forms of
 finitely generated abelian groups, kernels of module maps and the homology
-of free complexes; column-echelon bases with forward substitution give
-subgroup classes and membership.  Full Smith forms with their transforms
-serve only the callers that read generators or U and V; they also record
-their row operations, so U^-1 comes from the same elimination.  Each Euclid
-run of subtractions and swaps between two rows or two columns is worked out
-on two scalars and applied to the pair once, and a single subtraction
-touches only the pivot line's nonzero entries.
+of free complexes; column-echelon bases give those diagonals their rank
+and modulus, and with forward substitution subgroup classes and membership.
+Full Smith forms with their transforms serve only the callers that read
+generators or U and V; they also record their row operations, so U^-1
+comes from the same elimination.  Each Euclid run of subtractions and swaps
+between two rows or two columns is worked out on two scalars and applied to
+the pair once, and a single subtraction touches only the pivot line's
+nonzero entries.
 
 `IntMatrix(...)` coerces every entry with `operator.index` and checks the
 shape.  Matrices the package computes from its own ints are built once,
@@ -20,7 +21,7 @@ without either, by the private `IntMatrix._from_rows`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from operator import index
 
 _set = object.__setattr__
@@ -359,57 +360,6 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
     )
 
 
-def _rank_and_minor(rows) -> tuple[int, int]:
-    """Rank r of the matrix with rows `rows`, and |M| for a nonzero r x r
-    minor M.  The rows are read, not changed.
-
-    A fraction-free (Bareiss, Math. Comp. 1968) row echelon pass, one column
-    at a time.  The columns are taken in order of their least nonzero
-    |entry|, and zero columns are left out; in each column the pivot is the
-    least nonzero entry at or below the next pivot row, and a column with
-    none is skipped.  After each pivot every entry below and to the right of
-    it is a minor on the pivot rows and columns so far and its own row and
-    column, so the last pivot is a nonzero r x r minor.  The pass keeps the
-    matrix as its list of columns, so finding a pivot is one scan of one
-    column.
-
-    The column order keeps needless primes out of M, for the callers that
-    know no minor of their own.  Koszul tables read theirs from the sequence
-    (see `complexes`), and kernels, cokernels and subgroup classes from the
-    canonical relations, which leave only a map's rows at free target
-    generators to this pass (see `zmodules.kernel`).  Taken in their
-    own order, the columns of some Koszul differentials give an M that
-    shares a prime with every term, so `smith_diagonal` finds no unit modulo
-    M and `_make_unit` fills in the pivot column; in least-entry order M was
-    a power of the smallest term on every one measured.
-    """
-    cols = [list(col) for col in zip(*rows) if any(col)]
-    cols.sort(key=lambda col: min(map(abs, filter(None, col))))
-    m = len(rows)
-    r, prev = 0, 1
-    for k, ck in enumerate(cols):
-        p = min(filter(None, ck[r:]), key=abs, default=0)
-        if not p:
-            continue
-        i = ck.index(p, r)
-        if i != r:
-            for col in cols[k:]:
-                col[r], col[i] = col[i], col[r]
-        below = ck[r + 1:]
-        for col in cols[k + 1:]:
-            f = col[r]
-            if f:
-                col[r + 1:] = [(x * p - c * f) // prev for x, c in zip(col[r + 1:], below)]
-            elif p != prev:
-                # The column only scales by p / prev, and its zeros stay zero.
-                col[r + 1:] = [x * p // prev if x else 0 for x in col[r + 1:]]
-        prev = p
-        r += 1
-        if r == m:
-            break
-    return r, abs(prev)
-
-
 def _find_unit(d, m, n, t, modulus):
     """First entry of the block at (t, t), in row-major order, that is a unit
     modulo `modulus`, or None."""
@@ -457,16 +407,27 @@ def _make_unit(d, m, n, t, modulus) -> None:
             g = gcd(modulus, d[t][t])
 
 
+def _rank_and_modulus(a: IntMatrix) -> tuple[int, int]:
+    """Rank r of `a` and a nonzero multiple M of its invariant factors, read
+    off `column_basis(a)`: r is its column count, and M its r x r minor on
+    the pivot rows, the product of its pivots.  The basis spans the column
+    lattice of `a`, so d_1 ... d_r, the gcd of its r x r minors, divides M."""
+    if not (a.rows and a.cols):  # most calls: Koszul ends, A_free of torsion targets
+        return 0, 1
+    cols, pivots = echelon_pivots(column_basis(a))
+    return len(cols), prod(col[i] for col, i in zip(cols, pivots))
+
+
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The diagonal of `snf(a)`, computed without U or V.
 
-    With r the rank of `a` and M a nonzero r x r minor, both from one
-    fraction-free pass (`_rank_and_minor`), the first r invariant factors
-    divide M.  They are therefore the first r invariant factors of
-    [a | M*I] too, whose column lattice contains M*Z^rows.  So the elimination
-    works in (Z/M)^rows: it reduces every entry modulo M, may scale a row by a
-    unit modulo M, and no entry ever exceeds M (Domich, Kannan and Trotter,
-    Math. Oper. Res. 1987).
+    With r the rank of `a` and M a nonzero multiple of its invariant
+    factors, both from its column-echelon basis (`_rank_and_modulus`), the
+    first r invariant factors divide M.  They are therefore the first r
+    invariant factors of [a | M*I] too, whose column lattice contains
+    M*Z^rows.  So the elimination works in (Z/M)^rows: it reduces every
+    entry modulo M, may scale a row by a unit modulo M, and no entry ever
+    exceeds M (Domich, Kannan and Trotter, Math. Oper. Res. 1987).
 
     Each step pivots on the first entry of the block that is a unit modulo M:
     scaled to 1, it clears its column in one pass, and the block left over
@@ -480,12 +441,12 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     M before step r contributes that times M for each remaining step; the
     rest of the diagonal is zero.
     """
-    return _diagonal_modulo(a, *_rank_and_minor(a.data))
+    return _diagonal_modulo(a, *_rank_and_modulus(a))
 
 
 def _diagonal_modulo(a: IntMatrix, rank: int, modulus: int) -> tuple[int, ...]:
-    """`smith_diagonal(a)` from the rank of `a` and |M| for a nonzero
-    rank x rank minor M of it, known to the caller."""
+    """`smith_diagonal(a)` from the rank of `a` and a nonzero multiple of
+    every invariant factor of `a`, known to the caller."""
     m, n = a.rows, a.cols
     d = [[x % modulus for x in row] for row in a.data]
     diag = []
@@ -517,17 +478,6 @@ def _diagonal_modulo(a: IntMatrix, rank: int, modulus: int) -> tuple[int, ...]:
                 row[t:] = [(x - q * y) % modulus for x, y in zip(row[t:], rt)]
         diag.append(scale)
     return tuple(diag) + (0,) * (min(m, n) - rank)
-
-
-def cokernel_structure(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
-    """Structure of Z^rows / (column lattice of `a`).
-
-    Returns (free_rank, invariant_factors) with unit factors dropped.
-    """
-    diag = smith_diagonal(a)
-    nonzero = [x for x in diag if x != 0]
-    free_rank = a.rows - len(nonzero)
-    return free_rank, tuple(x for x in nonzero if x != 1)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

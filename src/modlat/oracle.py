@@ -353,15 +353,17 @@ def cokernel_types(source: ZModule, target: ZModule,
     generated by H and a lift (t, d); the quotient is the extension of Z/d by
     T/H with class t in (T/H)/d(T/H), so the quotients over all t are exactly
     `extension_types(T/H, Z/d)`.  The subgroups H of T enter only through
-    the classes of H and T/H.  In-universe quotients bound d, and the
-    truncation is reported through the clip flag.  Targets of free rank >= 2
-    are outside the oracle's scope.
+    the classes of H and T/H.  Such a quotient is finite of order d*|T/H|,
+    so it lies in the universe only if that is the order of a torsion class
+    there: d is taken from those orders alone, and the truncation is
+    reported through the clip flag.  Targets of free rank >= 2 are outside
+    the oracle's scope.
     """
     if target.free_rank > 1:
         raise OracleCapError("cokernel enumeration supports target free rank <= 1")
     out = set()
     clipped = False
-    bound = universe.max_torsion_order()
+    orders = _torsion_orders(universe)
     for sub_type, residue in _subgroups(target):
         if target.free_rank == 0:
             if surjects_onto(source, sub_type):
@@ -378,12 +380,17 @@ def cokernel_types(source: ZModule, target: ZModule,
         if not surjects_onto(source, direct_sum(ZModule.free(1), sub_type)):
             continue
         clipped = True  # arbitrarily large d escape the universe
-        d = 1
-        while d * residue.torsion_order() <= bound:
+        n = residue.torsion_order()
+        for d in (o // n for o in orders if o % n == 0):
             out.update(q for q in extension_types(residue, ZModule.cyclic(d))
                        if q in universe)
-            d += 1
     return frozenset(out), clipped
+
+
+@lru_cache(maxsize=None)
+def _torsion_orders(universe: Universe) -> frozenset:
+    """The orders of the universe's torsion classes."""
+    return frozenset(m.torsion_order() for m in universe.members() if not m.free_rank)
 
 
 @lru_cache(maxsize=None)

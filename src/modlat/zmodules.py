@@ -20,7 +20,7 @@ from math import gcd, prod
 from .intlinalg import (
     IntMatrix,
     _diagonal_modulo,
-    _rank_and_minor,
+    _rank_and_modulus,
     column_basis,
     hstack,
     solve_echelon,
@@ -223,7 +223,7 @@ def direct_sum(*modules: ZModule) -> ZModule:
 
 def from_presentation(a: IntMatrix) -> ZModule:
     """Cokernel of `a` (rows = generators, columns = relations)."""
-    return _cokernel_of(a, *_rank_and_minor(a.data))
+    return _cokernel_of(a, *_rank_and_modulus(a))
 
 
 def presentation_matrix(m: ZModule) -> IntMatrix:
@@ -434,40 +434,41 @@ def kernel(f: ZModuleMap) -> ZModule:
     relations.  A1 = A·R_M / R_N is exact on the torsion rows because f
     respects the relations, and the free rows of A·R_M are zero.  H_1 is
     Z^(n_1 - rk d_1 - rk d_2) plus the nonunit invariant factors of d_2.
-    The relations give both ranks and d_2's minor: the top block of R_M is
-    diag(s), so d_2 has rank k_M and the nonzero minor prod(s), and d_1 has
-    rank k_N + rk A_free (`_relations_rank_and_minor`).  So only d_2 takes a
-    Smith diagonal.
+    The relations give both ranks and d_2's modulus: the top block of R_M is
+    diag(s), so d_2 has rank k_M and the nonzero minor prod(s), a multiple of
+    its invariant factors, and d_1 has rank k_N + rk A_free
+    (`_relations_rank_and_modulus`).  So only d_2 takes a Smith diagonal.
     """
     s, t = f.source.torsion, f.target.torsion
     d2 = IntMatrix._from_rows(presentation_matrix(f.source).data + tuple(
         [-(f.matrix[i, j] * s[j] // t[i]) for j in range(len(s))] for i in range(len(t))),
         f.source.generator_count + len(t), len(s))
     h = _cokernel_of(d2, len(s), prod(s))
-    return ZModule(h.free_rank - _relations_rank_and_minor(f)[0], h.torsion)
+    return ZModule(h.free_rank - _relations_rank_and_modulus(f)[0], h.torsion)
 
 
 def cokernel(f: ZModuleMap) -> ZModule:
-    """Z^(g_N) / [A | R_N], on the rank and minor the relations give."""
+    """Z^(g_N) / [A | R_N], on the rank and modulus the relations give."""
     return _cokernel_of(hstack(f.matrix, presentation_matrix(f.target)),
-                        *_relations_rank_and_minor(f))
+                        *_relations_rank_and_modulus(f))
 
 
-def _relations_rank_and_minor(f: ZModuleMap) -> tuple[int, int]:
-    """Rank r of [A | R_N] and |M| for a nonzero r x r minor M of it.
-    Over Q the columns of R_N span the k_N torsion rows, so r is k_N plus
-    the rank of A_free, the free rows of A; permuted, [A | R_N] is block
-    triangular with diag(t) as one block, so M is prod(t) times a minor of
-    A_free.  A_free usually has no rows at all."""
-    t = f.target.torsion
-    rank, minor = _rank_and_minor(f.matrix.data[len(t):])
-    return len(t) + rank, prod(t) * minor
+def _relations_rank_and_modulus(f: ZModuleMap) -> tuple[int, int]:
+    """Rank r of [A | R_N] and a nonzero multiple M of its invariant factors.
+    Over Q the columns of R_N span the k_N torsion rows, so r is k_N plus the
+    rank of A_free, the free rows of A.  Column operations bring A_free to its
+    echelon basis and zeros, and then [A | R_N], permuted, is block triangular
+    with diag(t) as one block, so M is prod(t) times the modulus of A_free."""
+    t, a = f.target.torsion, f.matrix
+    rank, modulus = _rank_and_modulus(
+        IntMatrix._from_rows(a.data[len(t):], a.rows - len(t), a.cols))
+    return len(t) + rank, prod(t) * modulus
 
 
-def _cokernel_of(a: IntMatrix, rank: int, minor: int) -> ZModule:
-    """`from_presentation(a)`, given the rank of `a` and |M| for a nonzero
-    rank x rank minor M of it."""
-    diag = _diagonal_modulo(a, rank, minor)
+def _cokernel_of(a: IntMatrix, rank: int, modulus: int) -> ZModule:
+    """`from_presentation(a)`, given the rank of `a` and a nonzero multiple
+    of its invariant factors."""
+    diag = _diagonal_modulo(a, rank, modulus)
     return ZModule(a.rows - rank, tuple(x for x in diag if x > 1))
 
 

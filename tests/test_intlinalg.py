@@ -12,14 +12,14 @@ from itertools import chain, combinations, permutations
 from math import comb, gcd, prod
 
 import pytest
+from torsion_reference import presented
 
 from modlat.intlinalg import (
     PIVOT_STRATEGIES,
     _find_pivot,
-    _rank_and_minor,
+    _rank_and_modulus,
     IntMatrix,
     SmithDecomposition,
-    cokernel_structure,
     column_basis,
     det,
     hstack,
@@ -30,6 +30,7 @@ from modlat.intlinalg import (
     solve,
     solve_echelon,
 )
+from modlat.zmodules import ZModule, from_presentation
 
 
 def minors_gcd(a: IntMatrix, k: int) -> int:
@@ -118,15 +119,15 @@ def test_kernel_worked_example():
 
 
 def test_cokernel_single_relation():
-    assert cokernel_structure(IntMatrix([[12]])) == (0, (12,))
+    assert from_presentation(IntMatrix([[12]])) == ZModule(0, (12,))
 
 
 def test_cokernel_diag_2_3():
-    assert cokernel_structure(IntMatrix([[2, 0], [0, 3]])) == (0, (6,))
+    assert from_presentation(IntMatrix([[2, 0], [0, 3]])) == ZModule(0, (6,))
 
 
 def test_cokernel_no_relations():
-    assert cokernel_structure(IntMatrix([[], []], rows=2, cols=0)) == (2, ())
+    assert from_presentation(IntMatrix([[], []], rows=2, cols=0)) == ZModule.free(2)
 
 
 def random_matrix(rng, max_dim=6, max_entry=50):
@@ -172,7 +173,7 @@ def test_cokernel_invariant_under_unimodular_factors():
         a = random_matrix(rng, max_dim=4, max_entry=9)
         left = random_unimodular(rng, a.rows)
         right = random_unimodular(rng, a.cols)
-        assert cokernel_structure(left @ a @ right) == cokernel_structure(a)
+        assert from_presentation(left @ a @ right) == from_presentation(a)
 
 
 def test_solve_and_column_basis():
@@ -477,9 +478,17 @@ def _koszul_cases(rng):
 
 
 @pytest.mark.parametrize("kind", ["full", "deficient", "scaled", "no_unit", "late_factor",
-                                  "koszul"])
+                                  "koszul", "small"])
 def test_smith_diagonal_matches_snf(kind):
     rng = random.Random(f"smith-diagonal:{kind}")
+    if kind == "small":
+        # 3,000 up to 6 x 6, empty, zero and rank-deficient ones among them
+        for k in range(3000):
+            rows, cols = rng.randrange(7), rng.randrange(7)
+            rank = rng.randrange(min(rows, cols) + 1) if k % 2 else None
+            a = _seeded_matrix(rng, rows, cols, rank=rank, scale=rng.choice((1, 1, 2, 6)))
+            assert smith_diagonal(a) == snf(a).diagonal(), a
+        return
     if kind == "koszul":
         # A full Smith form of a length-7 table takes seconds, so past
         # length 6 the closed form is the only reference.
@@ -549,7 +558,7 @@ def _brute_rank_and_minors(a: IntMatrix):
     return 0, {1}
 
 
-def _rank_and_minor_cases():
+def _rank_and_modulus_cases():
     yield IntMatrix([], rows=0, cols=4)
     yield IntMatrix([[], [], []], rows=3, cols=0)
     yield IntMatrix.zeros(3, 5)
@@ -565,44 +574,24 @@ def _rank_and_minor_cases():
         yield a
 
 
-def test_rank_and_minor_matches_brute_force():
+def test_rank_and_modulus_against_brute_force():
+    """The echelon basis's rank is the rank, and its modulus a positive
+    multiple of the gcd of the r x r minors, d_1 ... d_r; the class
+    `from_presentation` reads modulo it is the full Smith form's."""
     deficient = 0
-    for a in _rank_and_minor_cases():
-        rows = a.to_lists()
-        rank, minor = _rank_and_minor(rows)
-        assert rows == a.to_lists()  # read, not changed
+    for a in _rank_and_modulus_cases():
+        rank, modulus = _rank_and_modulus(a)
         brute_rank, minors = _brute_rank_and_minors(a)
         assert rank == brute_rank
-        assert minor in minors
+        assert modulus > 0 and modulus % gcd(*minors) == 0, a
+        assert from_presentation(a) == presented(a), a
         deficient += rank < min(a.shape)
     assert deficient >= 30
 
 
-def test_koszul_minor_is_a_power_of_the_smallest_term():
-    """The least-entry column order keeps M a power of the smallest term on
-    these Koszul differentials; in the columns' own order M takes on primes
-    of other terms, and a table of the third 20-digit sequence ran about ten
-    times slower.  Koszul tables no longer call `_rank_and_minor` (their
-    rank and minor are read from the sequence), so these differentials stand
-    for the matrices of other callers that have this shape."""
-    from modlat.complexes import koszul_complex
-
-    rng = random.Random("koszul-digits:20")
-    sequences = [(39, 57, 58, 26, 34, 15, 20, 27)]
-    sequences += [tuple(rng.randrange(10 ** 19, 10 ** 20) for _ in range(8)) for _ in range(3)]
-    for seq in sequences:
-        s = min(map(abs, seq))
-        for i, d in enumerate(koszul_complex(seq).differentials, 1):
-            rank, minor = _rank_and_minor(d.data)
-            assert rank == comb(len(seq) - 1, i - 1)
-            while minor % s == 0:
-                minor //= s
-            assert minor == 1, (seq, d.shape)
-
-
 def test_koszul_known_pairs_are_rank_and_minor():
     """The (rank, |minor|) pair `koszul_complex` attaches to each
-    differential, against `_rank_and_minor`'s rank and every minor."""
+    differential, against a brute-force search of its rank and minors."""
     from modlat.complexes import koszul_complex
 
     sequences = [(0,), (0, 0, 0), (0, 0, 0, 0), (1,), (-1, 0), (7,), (-7, 0, 0),
@@ -617,7 +606,7 @@ def test_koszul_known_pairs_are_rank_and_minor():
         assert len(k._known) == len(seq)
         for d, (rank, minor) in zip(k.differentials, k._known):
             brute_rank, minors = _brute_rank_and_minors(d)
-            assert rank == _rank_and_minor(d.data)[0] == brute_rank
+            assert rank == brute_rank
             assert minor in minors, (seq, d.shape)
             if not any(seq):
                 assert (rank, minor) == (0, 1)

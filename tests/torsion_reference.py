@@ -14,7 +14,9 @@ tables were first built with, so the tests can compare the two:
   alone is complete for every pair.
 
 Enumeration above `oracle.TORSION_ORDER_CAP` raises `OracleCapError`, as the
-oracle tables do.
+oracle tables do.  `presented` reads the class a presentation presents off
+its full Smith form, for the tests whose reference must not share the
+modulus that `zmodules.from_presentation` works modulo.
 """
 
 from functools import lru_cache
@@ -22,7 +24,7 @@ from itertools import product
 from math import gcd
 
 from modlat import zmodules
-from modlat.intlinalg import IntMatrix, hstack
+from modlat.intlinalg import IntMatrix, hstack, snf
 from modlat.oracle import TORSION_ORDER_CAP, OracleCapError, Universe
 from modlat.zmodules import (
     IdealZ,
@@ -33,6 +35,13 @@ from modlat.zmodules import (
     subgroup_type,
     torsion_submodule,
 )
+
+
+def presented(a: IntMatrix) -> ZModule:
+    """The cokernel of `a` (rows = generators, columns = relations), its free
+    rank and invariant factors read off `snf(a).diagonal()`."""
+    diag = snf(a).diagonal()
+    return ZModule(a.rows - sum(1 for x in diag if x), tuple(x for x in diag if x > 1))
 
 
 # -- element-level machinery for finite torsion parts -----------------------
