@@ -16,6 +16,7 @@ from torsion_reference import presented
 
 from modlat.intlinalg import (
     PIVOT_STRATEGIES,
+    _diagonal_modulo,
     _find_pivot,
     _rank_and_modulus,
     IntMatrix,
@@ -587,6 +588,27 @@ def test_rank_and_modulus_against_brute_force():
         assert from_presentation(a) == presented(a), a
         deficient += rank < min(a.shape)
     assert deficient >= 30
+
+
+def test_koszul_minor_is_a_power_of_the_smallest_term():
+    """On these Koszul differentials the minor `koszul_complex` attaches is a
+    power of the smallest term, while the column-echelon modulus takes on
+    primes of the other terms and runs to hundreds of digits.  Both are
+    multiples of the invariant factors' product, and the ranks agree."""
+    from modlat.complexes import koszul_complex
+
+    rng = random.Random("koszul-digits:20")
+    sequences = [(39, 57, 58, 26, 34, 15, 20, 27)]
+    sequences += [tuple(rng.randrange(10 ** 19, 10 ** 20) for _ in range(8)) for _ in range(3)]
+    for seq in sequences:
+        s = min(map(abs, seq))
+        k = koszul_complex(seq)
+        for i, (d, (rank, minor)) in enumerate(zip(k.differentials, k._known), 1):
+            assert (rank, minor) == (comb(len(seq) - 1, i - 1), s ** rank), (seq, d.shape)
+            echelon_rank, modulus = _rank_and_modulus(d)
+            assert echelon_rank == rank
+            factors = prod(_diagonal_modulo(d, rank, minor)[:rank])
+            assert minor % factors == 0 and modulus % factors == 0, (seq, d.shape)
 
 
 def test_koszul_known_pairs_are_rank_and_minor():
