@@ -1,8 +1,14 @@
 """Command-line front end.
 
 Every command is pure: the same arguments and seed produce byte-identical
-JSON.  Exit codes: 0 success, 1 a mathematical check failed (counterexample
-found), 2 usage or parse error, or an input refused by a size cap.
+JSON, which is `json.dumps(payload, sort_keys=True, indent=2)` byte for byte.
+Exit codes: 0 success, 1 a mathematical check failed (counterexample found),
+2 usage or parse error, or an input refused by a size cap.
+
+Arguments follow argparse's semantics: abbreviated options, `--opt=value`,
+and options interleaved with positionals.  `build_parser` is the only
+declaration; `main` reads the plain argv shape straight off its actions and
+leaves every other shape, usage error and help text to `parse_args`.
 """
 
 from __future__ import annotations
@@ -82,9 +88,48 @@ def _report_payload(report: SuiteReport) -> dict:
 
 def _emit(payload: dict, args) -> None:
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        try:
+            text = _json(payload, "\n")
+        except TypeError:  # a value _json does not write
+            text = json.dumps(payload, sort_keys=True, indent=2)
+        print(text)
         return
     _emit_text(payload)
+
+
+def _json(value, newline: str) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` byte for byte, where
+    `newline` is a newline and the padding of the line `value` starts on.
+    The standard library serves `indent` with its pure-Python encoder; this
+    writes dicts with str keys, lists, tuples, str, int, bool and None, and
+    raises TypeError on anything else."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return _CONSTANTS[value]
+    if kind is dict:
+        if not value:
+            return "{}"
+        if any(type(key) is not str for key in value):
+            raise TypeError("a dict key that is not a str")
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_escape(key) + ": " + _json(value[key], inner) for key in sorted(value)]
+        ) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(
+            [_json(item, inner) for item in value]) + newline + "]"
+    raise TypeError(f"{kind.__name__} is not written directly")
+
+
+_escape = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _emit_text(payload: dict, indent: int = 0) -> None:
@@ -445,12 +490,82 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Declines help, inexact, repeated or non-store options, "-"-led values, usage errors.
+def _read_plain(parser: argparse.ArgumentParser, args: list) -> dict | None:
+    """`vars(parser.parse_args(args))` read off the parser's own actions, or
+    None where the argv needs argparse itself: -h or --help, an option name
+    that is not exact, repeated, or not one stored value, a separate value
+    or a positional led by "-", a missing, extra or conflicting argument, or
+    a value its type or choices refuse."""
+    values = {}
+    for action in parser._actions:  # defaults in argparse's order
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            values.setdefault(action.dest, action.default)
+    for dest, default in parser._defaults.items():
+        values.setdefault(dest, default)
+    positionals = [a for a in parser._actions if not a.option_strings]
+    seen = set()
+    i = 0
+    while i < len(args):
+        arg = args[i]
+        i += 1
+        if arg.startswith("-"):
+            name, eq, value = arg.partition("=")
+            action = parser._option_string_actions.get(name)
+            if action is None or action in seen:
+                return None
+            if not eq:
+                if i == len(args) or args[i].startswith("-"):
+                    return None
+                value = args[i]
+                i += 1
+        elif not positionals:
+            return None
+        else:
+            action, value = positionals.pop(0), arg
+            if type(action) is argparse._SubParsersAction:
+                sub = action.choices.get(arg)
+                rest = None if sub is None else _read_plain(sub, args[i:])
+                if rest is None:
+                    return None
+                values[action.dest] = arg  # then the subparser's namespace
+                values.update(rest)
+                seen.add(action)
+                break
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None  # the errors argparse reports as usage errors
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    for action in parser._actions:
+        if action not in seen and (action.required or (
+                action.type is not None and isinstance(action.default, str))):
+            return None  # missing, or a default argparse would convert
+    for group in parser._mutually_exclusive_groups:
+        given = [a for a in group._group_actions if a in seen]
+        if len(given) > 1 or (group.required and (
+                not given or values[given[0].dest] is given[0].default)):
+            return None
+    return values
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    values = _read_plain(parser, argv)
+    if values is not None:
+        args = argparse.Namespace(**values)
+    else:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         code, payload = args.handler(args)
     except (LiteralError, ValueError, OracleCapError) as exc:

@@ -694,7 +694,7 @@ def derive_submodule(ambient: ZModule, gens: IntMatrix) -> DerivationTrace:
             quotient_idx = len(steps) - 1
             quotient_type = ZModule.free(1)
         else:
-            endo = zmodules.scalar_map(d, stage_type).matrix
+            endo = _scalar_endo(d, stage_type)
             q = _scalar_cokernel(d, stage_type)
             steps.append(TraceStep("cokernel", (current_idx,), endo, q))
             quotient_type = ZModule.cyclic(d)
@@ -714,6 +714,16 @@ def derive_submodule(ambient: ZModule, gens: IntMatrix) -> DerivationTrace:
         ))
         current_idx = len(steps) - 1
     return DerivationTrace(ambient, tuple(steps))
+
+
+def _scalar_endo(d: int, module: ZModule) -> IntMatrix:
+    """The matrix of `zmodules.scalar_map(d, module)`, built directly:
+    diag(d mod a_1, ..., d mod a_k, d, ..., d) over the invariant factors
+    a_i, then the free generators."""
+    entries = [d % a for a in module.torsion] + [d] * module.free_rank
+    n = len(entries)
+    return IntMatrix._from_rows(
+        [[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)], n, n)
 
 
 def _scalar_cokernel(d: int, module: ZModule) -> ZModule:

@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import random
@@ -678,3 +679,206 @@ def test_cached_parser_after_usage_error(capsys):
     code, out = run(capsys, *argv)
     assert code == 0
     assert (code, out) == _fresh_process(*argv)
+
+
+# -- plain argv read off the parser, JSON written directly --------------------
+
+
+def _z_text(rng):
+    terms = ["Z"] * rng.randrange(3) + [f"Z/{rng.choice((2, 3, 4, 6, 9, 12))}"
+                                        for _ in range(rng.randrange(4))]
+    return " + ".join(terms) or "0"
+
+
+def _monomial_text(rng, names):
+    gens = ["*".join(f"{v}^{rng.randint(1, 2)}" for v in rng.sample(names, rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 3))]
+    return "R/(" + ", ".join(gens) + ")"
+
+
+def _request(rng, kind):
+    """One well-formed argv of a criterion-queries request kind, in the
+    workload's shape: options after the subcommand, `--sub=` for derive."""
+    names = list("abcdefgh"[:rng.randint(3, 8)])
+    backend = ["--backend", "monomial", "--vars", ",".join(names)]
+    command, _, flavour = kind.partition("-")
+    if kind in ("module-z", "ass-z", "supp-z"):
+        return [command, _z_text(rng)]
+    if kind in ("module-m", "ass-m", "supp-m"):
+        return [command, *backend, _monomial_text(rng, names)]
+    if kind == "grade":
+        return ["grade", "--module", _z_text(rng), "--ideal", f"({rng.choice((0, 2, 6))})"]
+    if kind == "filtration":
+        return ["filtration", _z_text(rng)]
+    if kind == "koszul":
+        return ["koszul", ",".join(str(rng.randint(1, 30)) for _ in range(rng.randint(2, 4)))]
+    if kind == "snf":
+        return ["snf", json.dumps([[rng.randint(-20, 20) for _ in range(2)] for _ in range(3)])]
+    if kind == "derive":
+        return ["oracle", "derive", "--ambient", "Z/2 + Z/4 + Z/12",
+                f"--sub={rng.randint(-3, 3)}*g0-{rng.randint(0, 3)}*g2; 2*g1"]
+    member = ["classify", "member", "--kind", rng.choice(("serre", "torsion", "coherent", "subext"))]
+    if flavour.endswith("z"):
+        member += ["--module", _z_text(rng)]
+        if flavour.startswith("gens"):
+            return member + ["--gens", "Z/2,Z"]
+        return member + ["--criterion", "set{(2),(3)}"]
+    member += [*backend, "--module", _monomial_text(rng, names)]
+    if flavour.startswith("gens"):
+        return member + ["--gens", ",".join(_monomial_text(rng, names) for _ in range(2))]
+    return member + ["--criterion", f"closure{{({names[0]}),({names[1]},{names[2]})}}"]
+
+
+_REQUEST_KINDS = (
+    "module-z", "module-m", "ass-z", "ass-m", "supp-z", "supp-m", "grade",
+    "filtration", "member-gens-z", "member-crit-z", "member-gens-m",
+    "member-crit-m", "koszul", "snf", "derive")
+
+# (words naming the subcommand, its options, its positionals) for every
+# subcommand, each argv well-formed
+_SUBCOMMANDS = (
+    (["snf"], [], ["[[2,4],[6,8]]"]),
+    (["module"], [("--backend", "z")], ["Z/4 + Z/3"]),
+    (["ass"], [("--backend", "monomial"), ("--vars", "x,y")], ["R/(x^2,x*y)"]),
+    (["supp"], [("--vars", "x,y")], ["Z/6"]),
+    (["grade"], [("--module", "Z/3"), ("--against", "Z/9")], []),
+    (["filtration"], [], ["Z/2 + Z/4"]),
+    (["koszul"], [], ["2,4"]),
+    (["classify", "member"], [("--kind", "serre"), ("--module", "Z/4"),
+                              ("--criterion", "closure{(2)}")], []),
+    (["classify", "examples"], [("--item", "3"), ("--trials", "5"), ("--seed", "2")], []),
+    (["classify", "roundtrip"], [("--backend", "z"), ("--seed", "1")], []),
+    (["classify", "adjunction"], [("--seed", "0")], []),
+    (["oracle", "close"], [("--gens", "Z/2"), ("--kinds", "sub,quot"),
+                           ("--primes", "2"), ("--max-exp", "2")], []),
+    (["oracle", "derive"], [("--ambient", "Z/4"), ("--sub", "2*g0")], []),
+    (["suite"], [("--only", "snf"), ("--trials", "3"), ("--vars", "a,b")], []),
+)
+
+# argv the reader leaves to argparse: help, abbreviations, values led by
+# "-", repeats, missing, extra or conflicting arguments, bad types and choices
+_DECLINED = (
+    ["-h"], ["--help"], ["koszul", "-h"], ["classify", "member", "--help"],
+    ["--form", "text", "module", "Z"], ["module", "--back", "z", "Z"],
+    ["oracle", "derive", "--amb", "Z/4", "--sub=2*g0"],
+    ["koszul", "-3,5"], ["koszul", "--", "-3,5"], ["koszul", "-x"],
+    ["oracle", "derive", "--ambient", "Z/4", "--sub", "-2*g0"],
+    ["oracle", "close", "--kinds", "sub", "--max-exp", "-1"], ["module", "--vars"],
+    ["module", "--backend", "z", "--backend", "z", "Z"],
+    ["module", "Z", "--format", "text"], ["--format", "text", "--format", "json", "module", "Z"],
+    [], ["--format", "json"], ["snf"], ["koszul"], ["grade", "--ideal", "(2)"],
+    ["classify"], ["oracle", "derive", "--ambient", "Z/4"],
+    ["classify", "member", "--kind", "serre", "--module", "Z/4"],
+    ["classify", "member", "--kind", "serre", "--module", "Z/4",
+     "--gens", "Z/2", "--criterion", "closure{(2)}"],
+    ["module", "Z", "Z"], ["snf", "[[1]]", "[[2]]"], ["nope"], ["classify", "nope"],
+    ["classify", "examples", "--item", "x"], ["suite", "--trials", "1.5"],
+    ["module", "--backend", "q", "Z"], ["--format", "yaml", "module", "Z"],
+    ["classify", "member", "--kind", "nope", "--module", "Z", "--gens", "Z"],
+    ["suite", "--only", "nope"],
+)
+
+
+def _argv_variants(rng, words, options, positionals):
+    """The subcommand's options and positionals interleaved in a seeded
+    order, each option as `--opt value` or `--opt=value`, with `--format`
+    sometimes before the subcommand."""
+    items = [[name, value] if rng.random() < 0.5 else [f"{name}={value}"]
+             for name, value in rng.sample(options, rng.randint(0, len(options)))]
+    slots = sorted(rng.sample(range(len(items) + len(positionals)), len(positionals)))
+    for slot, value in zip(slots, positionals):
+        items.insert(slot, [value])
+    head = rng.choice(([], ["--format", "text"], ["--format=json"]))
+    return head + words + [arg for item in items for arg in item]
+
+
+def _parse_args_or_none(capsys, argv):
+    from modlat.cli import build_parser
+
+    try:
+        return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+    finally:
+        capsys.readouterr()
+
+
+def test_plain_reader_matches_parse_args(capsys):
+    from modlat.cli import _read_plain, build_parser
+
+    parser = build_parser()
+    rng = random.Random("plain-argv")
+    plain = [_request(rng, kind) for kind in _REQUEST_KINDS for _ in range(20)]
+    plain += [_argv_variants(rng, *shape) for shape in _SUBCOMMANDS for _ in range(30)]
+    # --format after the subcommand is an option argparse does not know there
+    after = [argv + ["--format", "json"] for argv in plain[::7]]
+    for argv in plain + after + [list(argv) for argv in _DECLINED]:
+        got = _read_plain(parser, list(argv))
+        want = _parse_args_or_none(capsys, argv)
+        assert got is None or got == want, argv
+        # a plain argv is read without argparse; an argparse error never is
+        assert (got is not None) == (argv in plain and want is not None), argv
+    assert all(_parse_args_or_none(capsys, argv) is None for argv in after)
+
+
+@pytest.mark.parametrize("kind", _REQUEST_KINDS)
+def test_request_kinds_never_reach_parse_args(capsys, monkeypatch, kind):
+    argv = _request(random.Random(kind), kind)
+    expected = run(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"parse_args ran on {argv}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0 and json.loads(expected[1])
+
+
+def _random_text(rng):
+    return "".join(rng.choice('ab"\\/\n\t\r\x00\x1f\x7f \u00e9\u2028\U0001f600')
+                   for _ in range(rng.randrange(6)))
+
+
+def _random_value(rng, depth=0):
+    """Nested dicts with str keys, lists and tuples down to depth 4, over
+    None, bools, ints up to 300 digits and strings that need escapes."""
+    pick = rng.randrange(7 if depth < 4 else 4)
+    if pick == 0:
+        return rng.choice((None, True, False))
+    if pick == 1:
+        return rng.choice((0, -1, rng.randint(-10 ** 6, 10 ** 6),
+                           rng.randint(-10 ** 300, 10 ** 300), -10 ** 299))
+    if pick in (2, 3):
+        return _random_text(rng)
+    if pick == 4:
+        return {_random_text(rng): _random_value(rng, depth + 1)
+                for _ in range(rng.randrange(4))}
+    items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return tuple(items) if pick == 5 else items
+
+
+def test_json_writer_matches_json_dumps():
+    from modlat.cli import _json
+
+    values = []
+    for name in sorted(os.listdir(GOLDEN)):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            text = fh.read()
+        values.append(json.loads(text))
+        assert _json(values[-1], "\n") + "\n" == text, name
+    rng = random.Random("json-writer")
+    values += [_random_value(rng) for _ in range(2000)]
+    values += [{}, [], (), "", {"": [{}, [], -0]}, {"\u00e9\n": {"z": None, "a": ()}}]
+    for value in values:
+        assert _json(value, "\n") == json.dumps(value, sort_keys=True, indent=2), value
+
+
+@pytest.mark.parametrize("payload", [{1: "a", 2: [3]}, {"x": 1.5}, {"x": [{2: None}]},
+                                     {"x": float("nan")}])
+def test_json_writer_falls_back_to_json_dumps(capsys, payload):
+    from modlat.cli import _emit, _json
+
+    with pytest.raises(TypeError):
+        _json(payload, "\n")
+    _emit(payload, argparse.Namespace(format="json"))
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -699,6 +699,8 @@ def test_scalar_cokernel_closed_form_matches_general_cokernel():
         for d in (1, 2, 6, rng.randint(1, 100), rng.randint(1, 10 ** 6)):
             assert oracle._scalar_cokernel(d, m) == zmodules.cokernel(
                 zmodules.scalar_map(d, m)), (d, m)
+            # the derivation's cokernel step records the same matrix
+            assert oracle._scalar_endo(d, m) == zmodules.scalar_map(d, m).matrix, (d, m)
 
 
 def test_derivation_takes_one_snf_per_kernel_step_and_no_inverse(monkeypatch):
