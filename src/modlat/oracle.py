@@ -44,7 +44,7 @@ from .intlinalg import (
     solve_echelon,
 )
 from .spectrum import is_prime_number
-from .zmodules import ZModule, ZModuleMap, direct_sum, presentation_matrix
+from .zmodules import ZModule, ZModuleMap, _module, direct_sum, presentation_matrix
 
 TORSION_ORDER_CAP = 2 ** 14
 # A universe of more classes is refused when it is built, before any class is
@@ -162,16 +162,6 @@ def _parts(module: ZModule) -> dict[int, tuple[int, ...]]:
     for p, e in reversed(module.primary_factors):
         out[p] = out.get(p, ()) + (e,)
     return out
-
-
-def _module(rank: int, parts) -> ZModule:
-    """Z^rank plus the p-group of each (p, type) pair, without factorizing."""
-    chain: list[int] = []
-    for p, lam in parts:
-        chain.extend([1] * (len(lam) - len(chain)))
-        for i, e in enumerate(lam):
-            chain[i] *= p ** e
-    return ZModule(rank, tuple(reversed(chain)))
 
 
 def _subpartitions(lam: tuple[int, ...], top: int | None = None) -> list:

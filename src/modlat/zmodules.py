@@ -162,18 +162,8 @@ class ZModule:
                 continue
             for p, e in factorize(n).items():
                 per_prime.setdefault(p, []).append(e)
-        if not per_prime:
-            return cls(free_rank, ())
-        width = max(len(v) for v in per_prime.values())
-        factors = []
-        for slot in range(width):
-            f = 1
-            for p, exps in per_prime.items():
-                exps = sorted(exps, reverse=True)
-                if slot < len(exps):
-                    f *= p ** exps[slot]
-            factors.append(f)
-        return cls(free_rank, tuple(sorted(f for f in factors if f > 1)))
+        return _module(free_rank, ((p, sorted(exps, reverse=True))
+                                   for p, exps in per_prime.items()))
 
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -211,6 +201,17 @@ class ZModule:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
+
+
+def _module(rank: int, parts) -> ZModule:
+    """Z^rank plus the p-group of each (p, type) pair, without factorizing:
+    a type lists its exponents largest first."""
+    chain: list[int] = []
+    for p, lam in parts:
+        chain.extend([1] * (len(lam) - len(chain)))
+        for i, e in enumerate(lam):
+            chain[i] *= p ** e
+    return ZModule(rank, tuple(reversed(chain)))
 
 
 def direct_sum(*modules: ZModule) -> ZModule:

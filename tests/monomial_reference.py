@@ -1,10 +1,10 @@
 """Reference monomial spectra by subset enumeration.
 
 `modlat.spectrum` expands a closed subset on variable bitmasks and finds
-minimal variable covers as Berge transversals; `modlat.monomials` splits
-irreducible components on exponent vectors and prunes them once.  This module
-keeps the enumerations those functions replaced, so the tests can compare the
-two:
+minimal variable covers as Berge transversals; `modlat.monomials` grows
+irreducible components on exponent vectors one generator at a time, pruning
+after each.  This module keeps the enumerations those functions replaced, so
+the tests can compare the two:
 
 - `denotation` lists V(p) by every combination of the variables p lacks;
 - `minimal_variable_covers` tries all 2^n variable sets, smallest first;

@@ -71,6 +71,18 @@ def test_grade_command(capsys):
     assert payload["grade"] == "inf"
 
 
+def test_grade_against_a_module(capsys):
+    code, out = run(capsys, "grade", "--module", "Z/4", "--against", "Z/2")
+    assert code == 0
+    assert out == ('{\n  "against": "Z/2",\n  "grade": 0,\n'
+                   '  "module": "Z/4"\n}\n')
+
+
+def test_grade_needs_an_ideal_or_a_module(capsys):
+    line = _one_error_line(capsys, "grade", "--module", "Z")
+    assert line.endswith("expected --ideal or --against")
+
+
 def test_filtration_command(capsys):
     code, payload = run_json(capsys, "filtration", "Z/2 + Z/4")
     assert code == 0
@@ -293,6 +305,9 @@ def test_suite_filter_and_trials(capsys):
     code, payload = run_json(capsys, "suite", "--only", "snf", "--trials", "0")
     assert code == 0
     assert "warning" in payload
+    # with trials, each runs the Smith-form checks of suites._snf_trial
+    [report] = suites.run_suite("snf", seed=3, trials=20)
+    assert report.passed, report.failures()
 
 
 def test_suite_names_in_run_order_and_unknown_suite():
@@ -333,6 +348,39 @@ def test_text_format(capsys):
     code, out = run(capsys, "--format", "text", "module", "Z/6")
     assert code == 0
     assert "canonical: Z/6" in out
+
+
+def test_text_format_of_nested_payloads(capsys):
+    # a nested dict is indented under its key
+    code, out = run(capsys, "--format", "text", "koszul", "2,3")
+    assert code == 0
+    assert out == (
+        "sequence: [2, 3]\n"
+        "bottom_degree: 0\n"
+        "ranks: [1, 2, 1]\n"
+        "differentials: [[[2, 3]], [[-3], [2]]]\n"
+        "homology:\n"
+        "  0: 0\n"
+        "  1: 0\n"
+        "  2: 0\n"
+        "support:\n"
+        "  literal: closure{}\n"
+        "  members: []\n")
+    # a list of dicts lists each entry indented, the outer ones followed by
+    # a blank line
+    code, out = run(capsys, "--format", "text", "suite", "--only", "thick-support")
+    assert code == 0
+    assert out == (
+        "seed: 0\n"
+        "passed: True\n"
+        "reports:\n"
+        "  suite: thick-support\n"
+        "  seed: 0\n"
+        "  passed: True\n"
+        "  checks:\n"
+        "    statement: 15 closed subsets: membership and support joins are exact\n"
+        "    passed: True\n"
+        "\n")
 
 
 def test_oracle_cap_exits_2(capsys):

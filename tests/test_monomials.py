@@ -3,7 +3,8 @@
 The brute-force oracle for minimal primes enumerates every monomial prime and
 tests ideal containment generator by generator, independently of the
 vertex-cover route under test.  Irreducible decompositions are compared with
-the leq-pruned splitting of `monomial_reference`.
+the leq-pruned splitting of `monomial_reference`, and at the generator cap
+with large exponents by the properties that fix them.
 """
 
 import random
@@ -149,25 +150,47 @@ def test_min_primes_match_oracle_and_sit_inside_ass():
         assert got <= ass_cyclic(i)
 
 
+def assert_irredundant_decomposition(i, comps):
+    """The properties that fix the unique irredundant decomposition."""
+    # every component is generated by pure powers
+    for comp in comps:
+        for g in comp.gens:
+            assert sum(1 for e in g if e) == 1
+    # intersection equals the ideal: both inclusions via generators
+    inter = comps[0]
+    for comp in comps[1:]:
+        inter = inter.intersect(comp)
+    assert inter == i
+    # irredundance: no component contains another
+    for a in comps:
+        for b in comps:
+            assert a is b or not a.leq(b)
+
+
 def test_decomposition_intersection_property():
     context = ("a", "b", "c")
     rng = random.Random("decomp")
     for _ in range(60):
         i = random_ideal(rng, context, max_gens=4, max_exp=3)
-        comps = irreducible_decomposition(i)
-        # every component is generated by pure powers
-        for comp in comps:
-            for g in comp.gens:
-                assert sum(1 for e in g if e) == 1
-        # intersection equals the ideal: both inclusions via generators
-        inter = comps[0]
-        for comp in comps[1:]:
-            inter = inter.intersect(comp)
-        assert inter == i
-        # irredundance: no component contains another
-        for a in comps:
-            for b in comps:
-                assert a is b or not a.leq(b)
+        assert_irredundant_decomposition(i, irreducible_decomposition(i))
+
+
+@pytest.mark.parametrize("support", [6, 7])
+def test_decomposition_at_the_generator_cap_with_large_exponents(support):
+    # 8 variables, exactly MAX_GENERATORS minimal generators, exponents up
+    # to 9: the reference takes seconds per ideal here, so the components
+    # are checked by the properties that determine them.
+    context = tuple("abcdefgh")
+    rng = random.Random(f"cap-exponents:{support}")
+    for _ in range(2):
+        gens = frozenset()
+        while len(gens) < monomials.MAX_GENERATORS:
+            vec = [0] * len(context)
+            for j in rng.sample(range(len(context)), support):
+                vec[j] = rng.randint(1, 9)
+            gens = MonomialIdeal(context, gens | {tuple(vec)}).gens
+        i = MonomialIdeal(context, gens)
+        assert_irredundant_decomposition(i, irreducible_decomposition(i))
 
 
 def test_decomposition_matches_reference_on_every_two_variable_ideal():
