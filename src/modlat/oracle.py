@@ -12,14 +12,18 @@ the middle terms of extensions.  Surjections follow an interlacing rule,
 kernels and cokernels the (mu, nu) pairs, and a free part of an extension's
 sub turns into a choice of such a pair.  `tests/torsion_reference.py`
 builds the same tables by element and cocycle enumeration, as the tests'
-reference.  Cokernels of maps onto Z + T are read from the extension table.
-One operation table serves both `close` and `check_closed`, and `close`
-reaches its fixed point semi-naively: each round applies operations only to
-inputs that include a class the round before added.  Results of an
-operation that land outside the universe are discarded and recorded through
-a clip flag, never silently.  Universes are closed under subgroups and under
-sub-multisets of primary factors, which is what makes the
-universe-restricted fixed points meaningful.
+reference.  Every cokernel is read from the extension table.
+Each table returns the result classes of one application that lie in the
+universe, and whether some exact result does not: results outside the
+universe are discarded and recorded through a clip flag, never silently.
+The extension table grows only the middle terms inside the universe's
+bounds, and reads its flag off the dominance-order ends of each
+Littlewood-Richardson product.  One operation table serves both `close` and
+`check_closed`, and `close` reaches its fixed point semi-naively: each round
+applies operations only to inputs that include a class the round before
+added.  Universes are closed under subgroups and under sub-multisets of
+primary factors, which is what makes the universe-restricted fixed points
+meaningful.
 
 Explicit subgroups are echelon lattices, so membership, subgroup classes
 and each derivation stage's colon step take no Smith transform; only each
@@ -173,19 +177,20 @@ def _subpartitions(lam: tuple[int, ...], top: int | None = None) -> list:
                    for rest in _subpartitions(lam[1:], m)]
 
 
-def _strips(shape, size: int, last, start: int):
+def _strips(shape, size: int, last, start: int, height: int, width: int):
     """(grown shape, cells per row) for each horizontal strip of `size` cells
-    on `shape` that keeps the reading word a lattice word: the strip may put
+    on `shape` that keeps the reading word a lattice word and the shape
+    inside a box of `height` rows and `width` columns: the strip may put
     no more cells in rows 0..r than `last`, the strip before, has in rows
     above r, plus `start`."""
-    rows = shape + (0,)
+    rows = shape + (0,) * (len(shape) < height)
 
     def grow(r, left, lead, new, counts):
         if r == len(rows):
             if not left:
                 yield tuple(x for x in new if x), counts
             return
-        room = min(left, lead, rows[r - 1] - rows[r] if r else left)
+        room = min(left, lead, rows[r - 1] - rows[r] if r else width - rows[0])
         below = last[r] if r < len(last) else 0
         for a in range(room + 1):
             yield from grow(r + 1, left - a, lead - a + below,
@@ -195,20 +200,23 @@ def _strips(shape, size: int, last, start: int):
 
 
 @lru_cache(maxsize=None)
-def _lr(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
-    """lambda -> c^lambda_{mu nu}, for every lambda where it is nonzero.
+def _lr(mu: tuple[int, ...], nu: tuple[int, ...], height: int, width: int) -> dict:
+    """lambda -> c^lambda_{mu nu}, for every lambda inside a box of `height`
+    rows and `width` columns where it is nonzero.
 
     The Littlewood-Richardson tableaux of shape lambda/mu and content nu are
     grown row by row of nu: the k-th row adds a horizontal strip of nu_k
     cells labelled k, and the labels read right to left, top row first,
     never have more k than k - 1.  That depends only on the strip before.
+    A shape only grows, so one that leaves the box is never grown further.
     """
-    states = {(mu, ()): 1}  # (shape, cells per row of the last strip) -> tableaux
+    # (shape, cells per row of the last strip) -> tableaux
+    states = {(mu, ()): 1} if len(mu) <= height and sum(mu[:1]) <= width else {}
     for k, size in enumerate(nu):
         grown: dict = {}
         for (shape, last), count in states.items():
             # no strip comes before the first, so nothing bounds it
-            for state in _strips(shape, size, last, size if k == 0 else 0):
+            for state in _strips(shape, size, last, size if k == 0 else 0, height, width):
                 grown[state] = grown.get(state, 0) + count
         states = grown
     out: dict = {}
@@ -224,7 +232,7 @@ def _pairs(lam: tuple[int, ...]) -> tuple:
     subs = _subpartitions(lam)
     n = sum(lam)
     return tuple((mu, nu) for mu in subs for nu in subs
-                 if sum(mu) + sum(nu) == n and lam in _lr(mu, nu))
+                 if sum(mu) + sum(nu) == n and lam in _lr(mu, nu, len(lam), sum(lam[:1])))
 
 
 @lru_cache(maxsize=None)
@@ -333,21 +341,22 @@ def image_types(source: ZModule, target: ZModule) -> frozenset:
 @lru_cache(maxsize=None)
 def cokernel_types(source: ZModule, target: ZModule,
                    universe: Universe) -> tuple[frozenset, bool]:
-    """Cokernel classes of maps source -> target that lie in the universe.
+    """Cokernel classes of maps source -> target that lie in the universe,
+    and whether some cokernel does not.
 
     The image of a map is a subgroup of the target that the source surjects
     onto, so cokernels are quotients of the target by such subgroups.  For a
-    target Z + T the subgroups split into the finite ones H (inside T), with
-    quotient Z + T/H, and the ones with projection dZ onto the free part and
-    intersection H with T.  Such an image is abstractly Z + H, and it is
-    generated by H and a lift (t, d); the quotient is the extension of Z/d by
-    T/H with class t in (T/H)/d(T/H), so the quotients over all t are exactly
-    `extension_types(T/H, Z/d)`.  The subgroups H of T enter only through
-    the classes of H and T/H.  Such a quotient is finite of order d*|T/H|,
-    so it lies in the universe only if that is the order of a torsion class
-    there: d is taken from those orders alone, and the truncation is
-    reported through the clip flag.  Targets of free rank >= 2 are outside
-    the oracle's scope.
+    target Z^f + T with f <= 1, such a subgroup meets T in some H and
+    projects onto dZ in Z^f, and it is generated by H and a lift (t, d); the
+    quotient is the extension of Z/d by T/H with class t in (T/H)/d(T/H), so
+    the quotients over all t are exactly `extension_types(T/H, Z/d)`.  Here
+    d = 0 when f = 1 and the image is H, and Z/1 = 0 when f = 0.  The image
+    is abstractly H, or Z + H when d > 0, and the subgroups H of T enter only
+    through the classes of H and T/H.  A quotient with d > 0 is finite of
+    order d*|T/H|, so it lies in the universe only if that is the order of a
+    torsion class there: d is taken from those orders alone, and the larger
+    d, which always escape, set the clip flag.  Targets of free rank >= 2
+    are outside the oracle's scope.
     """
     if target.free_rank > 1:
         raise OracleCapError("cokernel enumeration supports target free rank <= 1")
@@ -355,25 +364,15 @@ def cokernel_types(source: ZModule, target: ZModule,
     clipped = False
     orders = _torsion_orders(universe)
     for sub_type, residue in _subgroups(target):
-        if target.free_rank == 0:
-            if surjects_onto(source, sub_type):
-                out.add(residue)
-            continue
-        # purely torsion image subgroup: quotient keeps the free generator
-        if surjects_onto(source, sub_type):
-            q = direct_sum(ZModule.free(1), residue)
-            if q in universe:
-                out.add(q)
-            else:
-                clipped = True
-        # image subgroups with projection dZ: abstractly Z + subgroup
-        if not surjects_onto(source, direct_sum(ZModule.free(1), sub_type)):
-            continue
-        clipped = True  # arbitrarily large d escape the universe
-        n = residue.torsion_order()
-        for d in (o // n for o in orders if o % n == 0):
-            out.update(q for q in extension_types(residue, ZModule.cyclic(d))
-                       if q in universe)
+        ds = [1 - target.free_rank] if surjects_onto(source, sub_type) else []
+        if target.free_rank and surjects_onto(source, direct_sum(ZModule.free(1), sub_type)):
+            clipped = True
+            n = residue.torsion_order()
+            ds += [o // n for o in orders if o % n == 0]
+        for d in ds:
+            classes, escaped = extension_types(residue, ZModule.cyclic(d), universe)
+            out |= classes
+            clipped = clipped or escaped
     return frozenset(out), clipped
 
 
@@ -384,8 +383,10 @@ def _torsion_orders(universe: Universe) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def extension_types(sub: ZModule, quotient: ZModule) -> frozenset:
-    """Middle-term classes of all extensions of `quotient` by `sub`.
+def extension_types(sub: ZModule, quotient: ZModule,
+                    universe: Universe) -> tuple[frozenset, bool]:
+    """Middle-term classes of the extensions of `quotient` by `sub` that lie
+    in the universe, and whether some middle term does not.
 
     For sub = Z^a + A and quotient = Z^c + T, every middle term is
     Z^(a+c) + E, and E is chosen prime by prime:
@@ -400,57 +401,74 @@ def extension_types(sub: ZModule, quotient: ZModule) -> frozenset:
       rank a, and the preimage of N in Z^a + E is Z^a + A with quotient T.
 
     So E_p has a type lambda with c^lambda_{alpha kappa} nonzero for a pair
-    (kappa, nu) of tau with at most a parts in nu.  No pair raises
-    OracleCapError.
+    (kappa, nu) of tau with at most a parts in nu.  Such lambda lie between
+    the union of the parts of alpha and kappa and the sum alpha + kappa in
+    dominance order, and both ends have coefficient 1 (Macdonald, ch. I,
+    section 9).  So some middle term leaves the universe exactly when the
+    rank passes max_rank, or at some prime alpha_1 + kappa_1 passes
+    max_exponent (0 at a prime outside the universe), or the largest
+    len alpha + len kappa at each prime sum past max_torsion_factors.  Only
+    the lambda inside those bounds are grown.  No pair raises OracleCapError.
     """
     a = sub.free_rank
+    rank = a + quotient.free_rank
+    if rank > universe.max_rank:
+        return frozenset(), True
     alpha, tau = _parts(sub), _parts(quotient)
-    options = [
-        {(p, lam) for kappa, nu in _pairs(tau.get(p, ())) if len(nu) <= a
-         for lam in _lr(alpha.get(p, ()), kappa)}
-        for p in alpha.keys() | tau.keys()
-    ]
+    height = universe.max_torsion_factors
+    options, longest, clipped = [], 0, False
+    for p in alpha.keys() | tau.keys():
+        width = universe.max_exponent if p in universe.primes else 0
+        alpha_p = alpha.get(p, ())
+        kappas = {kappa for kappa, nu in _pairs(tau.get(p, ())) if len(nu) <= a}
+        options.append({(p, lam) for kappa in kappas
+                        for lam in _lr(alpha_p, kappa, height, width)})
+        longest += len(alpha_p) + max(len(kappa) for kappa in kappas)
+        clipped |= sum(alpha_p[:1]) + max(sum(kappa[:1]) for kappa in kappas) > width
     return frozenset(
-        _module(a + quotient.free_rank, choice) for choice in product(*options)
-    )
+        _module(rank, choice) for choice in product(*options)
+        if sum(len(lam) for _, lam in choice) <= height
+    ), clipped or longest > height
 
 
 # -- closures ---------------------------------------------------------------
 
 
-def _within(classes, universe: Universe) -> set:
-    return {t if t in universe else None for t in classes}
+def _sums(universe: Universe, a: ZModule, b: ZModule) -> tuple[frozenset, bool]:
+    s = direct_sum(a, b)
+    return (frozenset({s}), False) if s in universe else (frozenset(), True)
 
 
-def _cokernels(universe, source, target) -> frozenset:
-    types, clipped = cokernel_types(source, target, universe)
-    return types | {None} if clipped else types
-
-
-# kind -> (arity, result classes of one application).  Only sums, extensions
-# and the cokernel clip flag can leave the universe; None stands for such a
-# result.  Tables are looked up by name at call time.
+# kind -> (arity, (result classes of one application that lie in the
+# universe, whether some result does not)).  Subobjects, summands, kernels
+# and images of members are members, since universes are closed under
+# subgroups and sub-multisets of primary factors, and so are the quotients of
+# a torsion member; a free part has quotients of every torsion order.  Tables
+# are looked up by name at call time.
 _OPERATIONS = {
-    "subobjects": (1, lambda u, m: subobject_types(m)),
-    "quotients": (1, lambda u, m: quotient_types(m, u)),
-    "summands": (1, lambda u, m: summand_types(m)),
-    "finite_sums": (2, lambda u, a, b: _within((direct_sum(a, b),), u)),
-    "extensions": (2, lambda u, a, c: _within(extension_types(a, c), u)),
-    "kernels": (2, lambda u, a, b: kernel_types(a, b)),
-    "cokernels": (2, _cokernels),
-    "images": (2, lambda u, a, b: image_types(a, b)),
+    "subobjects": (1, lambda u, m: (subobject_types(m), False)),
+    "quotients": (1, lambda u, m: (quotient_types(m, u), m.free_rank > 0)),
+    "summands": (1, lambda u, m: (summand_types(m), False)),
+    "finite_sums": (2, _sums),
+    "extensions": (2, lambda u, a, c: extension_types(a, c, u)),
+    "kernels": (2, lambda u, a, b: (kernel_types(a, b), False)),
+    "cokernels": (2, lambda u, a, b: cokernel_types(a, b, u)),
+    "images": (2, lambda u, a, b: (image_types(a, b), False)),
 }
 
 
 def _applications(kind: str, members, universe: Universe, new):
-    """(inputs, results) for every application of one operation to
-    `members` that has an input in `new`, inputs in the order of `members`."""
+    """(inputs, (results, clipped)) for every application of one operation to
+    `members` that has an input in `new`, inputs in the order of `members`:
+    a second input pairs with every member when the first is in `new`, and
+    otherwise only with those in `new`."""
     if kind not in _OPERATIONS:
         raise ValueError(f"unknown closure kind {kind!r}")
     arity, apply = _OPERATIONS[kind]
-    for inputs in product(members, repeat=arity):
-        if any(m in new for m in inputs):
-            yield inputs, apply(universe, *inputs)
+    fresh = [m for m in members if m in new]
+    for x in fresh if arity == 1 else members:
+        for rest in product(members if x in new else fresh, repeat=arity - 1):
+            yield (x, *rest), apply(universe, x, *rest)
 
 
 @dataclass(frozen=True)
@@ -486,10 +504,9 @@ def close(generators, kinds, universe: Universe) -> ClosureResult:
         iterations += 1
         produced = set()
         for kind in (k for k in CLOSURE_KINDS if k in kinds):
-            for _, results in _applications(kind, current, universe, fresh):
+            for _, (results, escaped) in _applications(kind, current, universe, fresh):
                 produced |= results
-        clipped = clipped or None in produced
-        produced.discard(None)
+                clipped = clipped or escaped
         fresh = produced - current
         current |= fresh
     return ClosureResult(frozenset(current), clipped, iterations)
@@ -504,8 +521,8 @@ def check_closed(subset, kind: str, universe: Universe):
     """
     subset = frozenset(subset)
     ordered = sorted(subset, key=lambda m: (m.free_rank, m.torsion))
-    for inputs, results in _applications(kind, ordered, universe, subset):
-        escaped = [r for r in results if r is not None and r not in subset]
+    for inputs, (results, _) in _applications(kind, ordered, universe, subset):
+        escaped = [r for r in results if r not in subset]
         if escaped:
             return False, (inputs, min(escaped, key=str))
     return True, None

@@ -200,6 +200,17 @@ def test_oracle_close_output_pinned(capsys, kinds):
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
+def test_oracle_close_quotient_clip_flag(capsys):
+    # Z/3 and Z/4 are quotients of Z outside the universe, whether read as
+    # quotients or as cokernels of maps Z -> Z
+    for kinds in ("quot", "coker"):
+        code, payload = run_json(capsys, "oracle", "close", "--gens", "Z", "--kinds", kinds,
+                                 "--primes", "2", "--max-exp", "1", "--max-factors", "1")
+        assert code == 0
+        assert payload["closure"] == ["0", "Z", "Z/2"]
+        assert payload["clipped"] is True, kinds
+
+
 def test_oracle_derive(capsys):
     code, payload = run_json(
         capsys, "oracle", "derive", "--ambient", "Z/4", "--sub", "2*g0")
@@ -646,6 +657,9 @@ _PAIRS = ("a*b", "a*c", "a*d", "a*e", "a*f", "a*g", "a*h", "b*c", "b*d")
     # torsion cap
     (("oracle", "close", "--gens", "Z", "--kinds", "coker", "--primes", "2,3",
       "--max-exp", "12", "--max-factors", "2"), 2),
+    # extension middle terms grown only inside the universe: 101 classes
+    (("oracle", "close", "--gens", "Z/2", "--kinds", "ext", "--primes", "2",
+      "--max-exp", "100", "--max-rank", "0", "--max-factors", "1"), 0),
 ])
 def test_requests_at_and_past_each_cap(capsys, argv, code):
     start = time.process_time()

@@ -178,16 +178,41 @@ def test_surjections():
                          ZModule.from_cyclic_orders(0, [2, 4]))
 
 
+def _enclosing(a: ZModule, c: ZModule) -> Universe:
+    """A universe that holds every middle term of an extension of c by a:
+    their primes, exponents up to the largest of each added, and their free
+    ranks and primary factor counts added."""
+    top = [max((e for _, e in m.primary_factors), default=0) for m in (a, c)]
+    return Universe(primes={p for m in (a, c) for p, _ in m.primary_factors},
+                    max_exponent=sum(top), max_rank=a.free_rank + c.free_rank,
+                    max_torsion_factors=len(a.primary_factors) + len(c.primary_factors))
+
+
+def _all_extensions(a: ZModule, c: ZModule) -> frozenset:
+    """Every middle term, from `extension_types` over `_enclosing(a, c)`,
+    where none escapes."""
+    classes, clipped = extension_types(a, c, _enclosing(a, c))
+    assert not clipped, (a, c)
+    return classes
+
+
+def _lr_unbounded(mu, nu) -> dict:
+    """`oracle._lr` in a box that every lambda fits: len mu + len nu rows
+    and mu_1 + nu_1 columns."""
+    return oracle._lr(mu, nu, len(mu) + len(nu),
+                      max(mu, default=0) + max(nu, default=0))
+
+
 def test_extension_types_examples():
-    assert extension_types(ZModule.cyclic(2), ZModule.cyclic(2)) == frozenset(
+    assert _all_extensions(ZModule.cyclic(2), ZModule.cyclic(2)) == frozenset(
         {ZModule.from_cyclic_orders(0, [2, 2]), ZModule.cyclic(4)})
-    assert extension_types(ZModule.free(1), ZModule.free(1)) == frozenset(
+    assert _all_extensions(ZModule.free(1), ZModule.free(1)) == frozenset(
         {ZModule.free(2)})
-    assert extension_types(ZModule.zero(), ZModule.cyclic(4)) == frozenset(
+    assert _all_extensions(ZModule.zero(), ZModule.cyclic(4)) == frozenset(
         {ZModule.cyclic(4)})
     # split sum always present
     a, c = ZModule.from_cyclic_orders(1, [2]), ZModule.cyclic(4)
-    assert direct_sum(a, c) in extension_types(a, c)
+    assert direct_sum(a, c) in _all_extensions(a, c)
 
 
 def middle_terms_oracle(a: ZModule, c: ZModule) -> frozenset:
@@ -243,7 +268,7 @@ def test_extension_types_against_element_search():
             ZModule.from_cyclic_orders(0, [2, 2])]
     for a in pool:
         for c in pool:
-            assert extension_types(a, c) == middle_terms_oracle(a, c), (a, c)
+            assert _all_extensions(a, c) == middle_terms_oracle(a, c), (a, c)
 
 
 THREE_PRIMES = Universe(primes=(2, 3, 5), max_exponent=1, max_rank=2,
@@ -259,11 +284,38 @@ def test_extension_types_match_cocycle_enumeration():
         for a in members:
             for c in members:
                 if a.generator_count + c.generator_count <= 6:
-                    assert extension_types(a, c) == \
+                    assert _all_extensions(a, c) == \
                         reference._cocycle_middle_terms(a, c), (a, c)
     cube = ZModule(0, (5, 5, 5))
-    assert extension_types(ZModule.free(1), cube) == \
+    assert _all_extensions(ZModule.free(1), cube) == \
         reference._cocycle_middle_terms(ZModule.free(1), cube)
+
+
+# name: (universe whose member pairs are extended, universe of the table).
+# The second holds neither the prime 5 nor free rank 2; the third has
+# exponents up to 2 and one factor against cubes and two factors.
+BOUNDED_EXTENSION_CASES = {
+    "accept": (ACCEPT, ACCEPT),
+    "prime-outside": (THREE_PRIMES, Universe(primes=(2, 3), max_exponent=1, max_rank=1,
+                                             max_torsion_factors=2)),
+    "narrow-box": (Universe(primes=(2,), max_exponent=3, max_rank=1, max_torsion_factors=2),
+                   Universe(primes=(2,), max_exponent=2, max_rank=1, max_torsion_factors=1)),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDED_EXTENSION_CASES)
+def test_extension_types_restrict_the_reference_to_the_universe(case):
+    # the middle terms grown inside the universe, and the clip flag read off
+    # the dominance-order ends, against every middle term of the reference
+    pairs, universe = BOUNDED_EXTENSION_CASES[case]
+    flags = set()
+    for a in pairs.members():
+        for c in pairs.members():
+            every = reference.extension_types(a, c)
+            inside = frozenset(m for m in every if m in universe)
+            assert extension_types(a, c, universe) == (inside, inside != every), (a, c)
+            flags.add(inside != every)
+    assert flags == {False, True}
 
 
 def _outcome(table, *args):
@@ -315,7 +367,8 @@ def test_tables_match_torsion_reference(case):
             if not pairs(m, n):
                 continue
             for name in only or PAIR_TABLES:
-                assert _outcome(getattr(oracle, name), m, n) == \
+                table = _all_extensions if name == "extension_types" else getattr(oracle, name)
+                assert _outcome(table, m, n) == \
                     _outcome(getattr(reference, name), m, n), (name, m, n)
             if only is None:
                 assert _outcome(oracle.cokernel_types, m, n, universe) == \
@@ -329,11 +382,11 @@ def test_tables_match_torsion_reference(case):
 
 
 def test_littlewood_richardson_products():
-    assert oracle._lr((1,), (1,)) == {(2,): 1, (1, 1): 1}
-    assert oracle._lr((), (2, 1)) == {(2, 1): 1}
-    assert oracle._lr((2, 1), ()) == {(2, 1): 1}
+    assert _lr_unbounded((1,), (1,)) == {(2,): 1, (1, 1): 1}
+    assert _lr_unbounded((), (2, 1)) == {(2, 1): 1}
+    assert _lr_unbounded((2, 1), ()) == {(2, 1): 1}
     # s21 * s21 = s42 + s411 + s33 + 2 s321 + s3111 + s222 + s2211
-    assert oracle._lr((2, 1), (2, 1)) == {
+    assert _lr_unbounded((2, 1), (2, 1)) == {
         (4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1,
         (2, 2, 2): 1, (2, 2, 1, 1): 1}
     # s1^4 = sum of f^lambda s_lambda, f^lambda the standard tableaux count
@@ -341,7 +394,7 @@ def test_littlewood_richardson_products():
     for _ in range(4):
         step = {}
         for lam, c in power.items():
-            for grown, d in oracle._lr(lam, (1,)).items():
+            for grown, d in _lr_unbounded(lam, (1,)).items():
                 step[grown] = step.get(grown, 0) + c * d
         power = step
     assert power == {(4,): 1, (3, 1): 3, (2, 2): 2, (2, 1, 1): 3, (1, 1, 1, 1): 1}
@@ -352,9 +405,23 @@ def test_littlewood_richardson_symmetry():
     assert len(shapes) == 16
     for mu in shapes:
         for nu in shapes:
-            product_ = oracle._lr(mu, nu)
-            assert product_ == oracle._lr(nu, mu), (mu, nu)
+            product_ = _lr_unbounded(mu, nu)
+            assert product_ == _lr_unbounded(nu, mu), (mu, nu)
             assert all(sum(lam) == sum(mu) + sum(nu) for lam in product_)
+
+
+def test_littlewood_richardson_in_a_box():
+    # a box keeps the lambda that fit it, also when mu does not fit
+    shapes = oracle._subpartitions((3, 2, 1))
+    for mu in shapes:
+        for nu in shapes:
+            every = _lr_unbounded(mu, nu)
+            for height in range(len(mu) + len(nu) + 1):
+                for width in range(max(mu, default=0) + max(nu, default=0) + 1):
+                    assert oracle._lr(mu, nu, height, width) == {
+                        lam: c for lam, c in every.items()
+                        if len(lam) <= height and max(lam, default=0) <= width
+                    }, (mu, nu, height, width)
 
 
 def test_kernel_and_image_types():
@@ -511,6 +578,8 @@ def test_operation_tables_match_explicit_map_enumeration():
     pool = [ZModule.zero(), ZModule.cyclic(2), ZModule.cyclic(4),
             ZModule.cyclic(6), ZModule.from_cyclic_orders(0, [2, 2]),
             ZModule.cyclic(3), ZModule.from_cyclic_orders(0, [2, 6])]
+    # Z/2 + Z/6 has three primary factors; this universe holds every quotient
+    torsion = Universe(primes=(2, 3), max_exponent=2, max_rank=0, max_torsion_factors=3)
     for m in pool:
         for n in pool:
             kernels, cokers, images = set(), set(), set()
@@ -520,8 +589,7 @@ def test_operation_tables_match_explicit_map_enumeration():
                 images.add(image(f))
             assert kernels == set(kernel_types(m, n)), (m, n)
             assert images == set(image_types(m, n)), (m, n)
-            types, _ = oracle.cokernel_types(m, n, ACCEPT)
-            assert cokers == set(types), (m, n)
+            assert oracle.cokernel_types(m, n, torsion) == (cokers, False), (m, n)
 
 
 def _cokernel_types_by_cosets(source, target, universe):
@@ -835,7 +903,7 @@ _OVER = "OracleCapError: torsion order {} above cap 16384"
 # Only the torsion order of the parts a table enumerated at first counts:
 # a target's for surjections, images and cokernels, target then source for
 # kernels, the first member of a universe over the cap for quotients, and
-# never an extension.
+# never an extension, whose universe holds every middle term.
 CAP_CASES = [
     ("subobject_types", ("Z/256 + Z/256",), _OVER.format(65536)),
     ("subobject_types", ("Z^2 + Z/3 + Z/6561",), _OVER.format(19683)),
@@ -859,12 +927,12 @@ CAP_CASES = [
      "OracleCapError: cokernel enumeration supports target free rank <= 1"),
     ("quotient_types", ("Z",), _OVER.format(32768)),
     ("quotient_types", ("Z/2",), _OVER.format(32768)),
-    ("extension_types", ("Z/2", "Z/65536"), ["Z/131072", "Z/2 + Z/65536"]),
+    ("extension_types", ("Z/2", "Z/65536"), (["Z/131072", "Z/2 + Z/65536"], False)),
     ("extension_types", ("Z + Z/3", "Z/32768"),
-     ["Z + Z/3", "Z + Z/6", "Z + Z/12", "Z + Z/24", "Z + Z/48", "Z + Z/96",
-      "Z + Z/192", "Z + Z/384", "Z + Z/768", "Z + Z/1536", "Z + Z/3072",
-      "Z + Z/6144", "Z + Z/12288", "Z + Z/24576", "Z + Z/49152",
-      "Z + Z/98304"]),
+     (["Z + Z/3", "Z + Z/6", "Z + Z/12", "Z + Z/24", "Z + Z/48", "Z + Z/96",
+       "Z + Z/192", "Z + Z/384", "Z + Z/768", "Z + Z/1536", "Z + Z/3072",
+       "Z + Z/6144", "Z + Z/12288", "Z + Z/24576", "Z + Z/49152",
+       "Z + Z/98304"], False)),
 ]
 
 
@@ -887,6 +955,8 @@ def test_cap_refusals_pinned(table, literals, expected):
         args.append(_CAP_UNIVERSE)
     elif table == "cokernel_types":
         args.append(SMALL)
+    elif table == "extension_types":
+        args.append(_enclosing(*args))
     assert _pinned(_outcome(getattr(oracle, table), *args)) == _pinned(expected)
 
 
