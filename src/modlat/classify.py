@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import singledispatch
 
 from . import monomials, zmodules
 from .monomials import MonomialIdeal, MonomialModule
@@ -34,42 +33,30 @@ class ClosureKind(Enum):
 SUPP_KINDS = (ClosureKind.TORSION, ClosureKind.SERRE, ClosureKind.COHERENT)
 
 
-@singledispatch
-def supp_of(module) -> SpecSubset:
+def _backend(module) -> tuple:
+    """(backend, support, associated primes) of `module`'s type, the last two
+    as functions of the module: the one type test every map here reads."""
+    if isinstance(module, ZModule):
+        return Z_BACKEND, zmodules.supp, zmodules.ass
+    if isinstance(module, MonomialModule):
+        return module.backend, monomials.supp, _monomial_ass
     raise TypeError(f"unsupported module type {type(module).__name__}")
 
 
-@supp_of.register
-def _(module: ZModule) -> SpecSubset:
-    return zmodules.supp(module)
-
-
-@supp_of.register
-def _(module: MonomialModule) -> SpecSubset:
-    return monomials.supp(module)
-
-
-@singledispatch
-def ass_of(module) -> SpecSubset:
-    raise TypeError(f"unsupported module type {type(module).__name__}")
-
-
-@ass_of.register
-def _(module: ZModule) -> SpecSubset:
-    return zmodules.ass(module)
-
-
-@ass_of.register
-def _(module: MonomialModule) -> SpecSubset:
+def _monomial_ass(module: MonomialModule) -> SpecSubset:
     return SpecSubset.explicit(monomials.ass(module), backend=module.backend)
 
 
+def supp_of(module) -> SpecSubset:
+    return _backend(module)[1](module)
+
+
+def ass_of(module) -> SpecSubset:
+    return _backend(module)[2](module)
+
+
 def backend_of(module) -> tuple:
-    if isinstance(module, ZModule):
-        return Z_BACKEND
-    if isinstance(module, MonomialModule):
-        return module.backend
-    raise TypeError(f"unsupported module type {type(module).__name__}")
+    return _backend(module)[0]
 
 
 # -- criterion maps -------------------------------------------------------

@@ -21,7 +21,9 @@ bounds, and reads its flag off the dominance-order ends of each
 Littlewood-Richardson product.  One operation table serves both `close` and
 `check_closed`, and `close` reaches its fixed point semi-naively: each round
 applies operations only to inputs that include a class the round before
-added.  Universes are closed under subgroups and under sub-multisets of
+added, and no kind is applied whose results another requested kind gives
+too: finite sums beside extensions, and kernels, summands and images beside
+subobjects.  Universes are closed under subgroups and under sub-multisets of
 primary factors, which is what makes the universe-restricted fixed points
 meaningful.
 
@@ -48,7 +50,8 @@ from .intlinalg import (
     solve_echelon,
 )
 from .spectrum import is_prime_number
-from .zmodules import ZModule, ZModuleMap, _module, direct_sum, presentation_matrix
+from .zmodules import (ZModule, ZModuleMap, _module, direct_sum, presentation_matrix,
+                       prime_types)
 
 TORSION_ORDER_CAP = 2 ** 14
 # A universe of more classes is refused when it is built, before any class is
@@ -65,6 +68,10 @@ CLOSURE_KINDS = (
     "summands",
     "images",
 )
+# kind -> a kind whose results include its own: a direct sum is the split
+# extension, and kernels, summands and images are subgroups of an input.
+_COVERED_BY = {"finite_sums": "extensions", "kernels": "subobjects",
+               "summands": "subobjects", "images": "subobjects"}
 
 
 class OracleCapError(RuntimeError):
@@ -160,14 +167,6 @@ def _check_cap(module: ZModule) -> None:
         raise OracleCapError(f"torsion order {total} above cap {TORSION_ORDER_CAP}")
 
 
-def _parts(module: ZModule) -> dict[int, tuple[int, ...]]:
-    """The type of each primary part: prime -> exponents, largest first."""
-    out: dict[int, tuple[int, ...]] = {}
-    for p, e in reversed(module.primary_factors):
-        out[p] = out.get(p, ()) + (e,)
-    return out
-
-
 def _subpartitions(lam: tuple[int, ...], top: int | None = None) -> list:
     """Every partition mu with mu_i <= lam_i, and mu_1 <= top if given."""
     if not lam:
@@ -240,7 +239,7 @@ def _subgroups(module: ZModule) -> frozenset:
     """(class of H, class of T/H) over the subgroups H of the torsion part T
     of `module`: at each prime, one of the type pairs of `_pairs`."""
     _check_cap(module)
-    lam = _parts(module)
+    lam = prime_types(module)
     return frozenset(
         (_module(0, zip(lam, (mu for mu, _ in choice))),
          _module(0, zip(lam, (nu for _, nu in choice))))
@@ -265,10 +264,10 @@ def surjects_onto(source: ZModule, target: ZModule) -> bool:
         return True
     _check_cap(target)
     spare = source.free_rank - target.free_rank
-    tau = _parts(source)
+    tau = prime_types(source)
     return all(
         b <= t
-        for p, beta in _parts(target).items()
+        for p, beta in prime_types(target).items()
         for b, t in zip_longest(beta[spare:], tau.get(p, ()), fillvalue=0)
     )
 
@@ -414,7 +413,7 @@ def extension_types(sub: ZModule, quotient: ZModule,
     rank = a + quotient.free_rank
     if rank > universe.max_rank:
         return frozenset(), True
-    alpha, tau = _parts(sub), _parts(quotient)
+    alpha, tau = prime_types(sub), prime_types(quotient)
     height = universe.max_torsion_factors
     options, longest, clipped = [], 0, False
     for p in alpha.keys() | tau.keys():
@@ -487,6 +486,10 @@ def close(generators, kinds, universe: Universe) -> ClosureResult:
     operation result fell outside the universe and was discarded.  Each
     iteration applies the operations only to inputs that include a class
     added by the iteration before; the other applications were made already.
+    A kind is not applied when the kind `_COVERED_BY` names is requested too:
+    its results are among that kind's, it clips only where that kind does,
+    and its torsion-cap checks read subgroup tables that `subobjects`, first
+    in CLOSURE_KINDS order, has read for every member.
     """
     kinds = frozenset(kinds)
     unknown = kinds - set(CLOSURE_KINDS)
@@ -497,13 +500,14 @@ def close(generators, kinds, universe: Universe) -> ClosureResult:
         if g not in universe:
             raise ValueError(f"generator {g} lies outside the universe")
         current.add(g)
+    applied = [k for k in CLOSURE_KINDS if k in kinds and _COVERED_BY.get(k) not in kinds]
     clipped = False
     iterations = 0
     fresh = set(current)
     while fresh:
         iterations += 1
         produced = set()
-        for kind in (k for k in CLOSURE_KINDS if k in kinds):
+        for kind in applied:
             for _, (results, escaped) in _applications(kind, current, universe, fresh):
                 produced |= results
                 clipped = clipped or escaped

@@ -74,17 +74,14 @@ class SuiteReport:
 Z_PRIME_POOL = (2, 3, 5, 7)
 
 
-def random_zmodule(rng: random.Random, max_rank: int = 2, max_factors: int = 3,
-                   max_exponent: int = 2, primes=Z_PRIME_POOL) -> ZModule:
+def random_zmodule(rng: random.Random, max_rank: int = 2) -> ZModule:
+    """Z^r, r <= max_rank, plus at most 3 cyclics of order p or p^2."""
     rank = rng.randrange(max_rank + 1)
-    orders = []
-    for _ in range(rng.randrange(max_factors + 1)):
-        p = rng.choice(primes)
-        orders.append(p ** rng.randrange(1, max_exponent + 1))
+    orders = [rng.choice(Z_PRIME_POOL) ** rng.randrange(1, 3) for _ in range(rng.randrange(4))]
     return ZModule.from_cyclic_orders(rank, orders)
 
 
-def random_ideal_z(rng: random.Random, primes=Z_PRIME_POOL) -> IdealZ:
+def random_ideal_z(rng: random.Random) -> IdealZ:
     roll = rng.random()
     if roll < 0.1:
         return IdealZ(0)
@@ -92,12 +89,12 @@ def random_ideal_z(rng: random.Random, primes=Z_PRIME_POOL) -> IdealZ:
         return IdealZ(1)
     n = 1
     for _ in range(rng.randrange(1, 3)):
-        n *= rng.choice(primes) ** rng.randrange(1, 3)
+        n *= rng.choice(Z_PRIME_POOL) ** rng.randrange(1, 3)
     return IdealZ(n)
 
 
-def random_monomial_ideal(rng: random.Random, context,
-                          max_gens: int = 3, max_exponent: int = 2) -> MonomialIdeal:
+def random_monomial_ideal(rng: random.Random, context) -> MonomialIdeal:
+    """At most 3 generators, with exponents 1 or 2 on a random support."""
     roll = rng.random()
     if roll < 0.1:
         return MonomialIdeal.zero(context)
@@ -105,18 +102,17 @@ def random_monomial_ideal(rng: random.Random, context,
         return MonomialIdeal.unit(context)
     n = len(context)
     vectors = []
-    for _ in range(rng.randrange(1, max_gens + 1)):
+    for _ in range(rng.randrange(1, 4)):
         vec = [0] * n
         support = rng.sample(range(n), rng.randrange(1, n + 1))
         for i in support:
-            vec[i] = rng.randrange(1, max_exponent + 1)
+            vec[i] = rng.randrange(1, 3)
         vectors.append(tuple(vec))
     return MonomialIdeal.of(context, vectors)
 
 
-def random_monomial_module(rng: random.Random, context,
-                           max_summands: int = 2) -> MonomialModule:
-    count = rng.randrange(max_summands + 1)
+def random_monomial_module(rng: random.Random, context) -> MonomialModule:
+    count = rng.randrange(3)  # at most 2 summands
     return MonomialModule(
         tuple(context),
         tuple(random_monomial_ideal(rng, context) for _ in range(count)),
@@ -129,14 +125,11 @@ def random_module(rng: random.Random, backend):
     return random_monomial_module(rng, backend[1])
 
 
-def random_int_matrix(rng: random.Random, max_dim: int = 6,
-                      max_entry: int = 50) -> IntMatrix:
-    rows = rng.randrange(1, max_dim + 1)
-    cols = rng.randrange(1, max_dim + 1)
-    return IntMatrix(
-        [[rng.randint(-max_entry, max_entry) for _ in range(cols)]
-         for _ in range(rows)]
-    )
+def random_int_matrix(rng: random.Random) -> IntMatrix:
+    """At most 6 x 6, with entries in [-50, 50]."""
+    rows = rng.randrange(1, 7)
+    cols = rng.randrange(1, 7)
+    return IntMatrix([[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rows)])
 
 
 def random_ambient_and_subgroup(rng: random.Random):
@@ -441,11 +434,10 @@ def _probe_family(subset: SpecSubset) -> list:
             sorted(subset.generators, key=PrimeId.sort_key)]
 
 
-def roundtrip_suite(backend, seed: int = 0, probe_trials: int = 200,
-                    max_generators: int = 4) -> SuiteReport:
+def roundtrip_suite(backend, seed: int = 0, probe_trials: int = 200) -> SuiteReport:
     """Round-trip and agreement checks for the criterion maps.
 
-    For every representable subset S with at most `max_generators` primes:
+    For every representable subset S with at most 4 primes:
     the union of associated primes of the probe family {R/p : p in S} is S.
     For specialization-closed S the support criterion and the
     associated-primes criterion agree on random probe modules, and the join
@@ -453,7 +445,7 @@ def roundtrip_suite(backend, seed: int = 0, probe_trials: int = 200,
     """
     backend = tuple(backend)
     rng = random.Random(f"{seed}:roundtrip:{backend}")
-    subsets = probe_subsets(backend, Z_PRIME_POOL, max_generators, closed=False)
+    subsets = probe_subsets(backend, Z_PRIME_POOL, 4, closed=False)
     checks = []
     for subset in subsets:
         probes = _probe_family(subset)
@@ -578,23 +570,20 @@ def adjunction_suite(backend, seed: int = 0) -> SuiteReport:
 # -- oracle closures ----------------------------------------------------------
 
 
-def generator_sets(universe: Universe, max_size: int = 2):
+def generator_sets(universe: Universe):
+    """Every set of at most 2 nonzero members."""
     members = [m for m in universe.members() if not m.is_zero()]
-    out = [()]
-    out.extend((m,) for m in members)
-    if max_size >= 2:
-        out.extend(combinations(members, 2))
-    return out
+    return [(), *((m,) for m in members), *combinations(members, 2)]
 
 
-def _closure_check(universe: Universe, max_size: int, kinds, criterion: ClosureKind,
+def _closure_check(universe: Universe, kinds, criterion: ClosureKind,
                    what: str) -> CheckOutcome:
-    """Oracle closure of every generator set up to the given size against
+    """Oracle closure of every generator set of `generator_sets` against
     the universe's members of the subcategory of kind `criterion` that the
     set generates, decided by the criterion maps."""
     failures = []
     count = 0
-    for gens in generator_sets(universe, max_size):
+    for gens in generator_sets(universe):
         count += 1
         result = oracle.close(gens, kinds, universe)
         expected = frozenset(m for m in universe.members()
@@ -609,20 +598,20 @@ def _closure_check(universe: Universe, max_size: int, kinds, criterion: ClosureK
 
 
 def serre_closure_suite(universe: Universe = ACCEPTANCE_UNIVERSE,
-                        seed: int = 0, max_size: int = 2) -> SuiteReport:
+                        seed: int = 0) -> SuiteReport:
     """Oracle closure under subobjects/quotients/extensions/sums equals the
-    support criterion set, for every generator set up to the given size."""
+    support criterion set, for every set of at most 2 generators."""
     kinds = {"subobjects", "quotients", "extensions", "finite_sums"}
-    check = _closure_check(universe, max_size, kinds, ClosureKind.SERRE,
+    check = _closure_check(universe, kinds, ClosureKind.SERRE,
                            "the support criterion exactly")
     return SuiteReport("serre-closure", seed, (check,))
 
 
 def subext_closure_suite(universe: Universe = ACCEPTANCE_UNIVERSE,
-                         seed: int = 0, max_size: int = 2) -> SuiteReport:
+                         seed: int = 0) -> SuiteReport:
     """Oracle closure under subobjects/extensions equals the associated-primes
     criterion set, plus the discriminating free-generator probe."""
-    check = _closure_check(universe, max_size, {"subobjects", "extensions"},
+    check = _closure_check(universe, {"subobjects", "extensions"},
                            ClosureKind.SUBEXT, "the associated-primes criterion")
     probe_serre = generated_member(ZModule.cyclic(2), [ZModule.free(1)],
                                    ClosureKind.SERRE)
@@ -706,7 +695,7 @@ def koszul_cyclic_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
 
 
 def _filtration_trial(rng: random.Random, t: int) -> str | None:
-    m = random_zmodule(rng, max_rank=2, max_factors=3)
+    m = random_zmodule(rng)
     ideals = zmodules.cyclic_filtration(m)
     steps = zmodules.filtration_steps(m)
     if steps[0] != m or not steps[-1].is_zero():
@@ -743,7 +732,7 @@ def filtration_suite(trials: int = 500, seed: int = 0) -> SuiteReport:
 
 
 def _coprimary_trial(rng: random.Random, t: int) -> str | None:
-    m = random_zmodule(rng, max_rank=2, max_factors=3)
+    m = random_zmodule(rng)
     comps = zmodules.coprimary_components(m)
     primes = {p for p, _ in comps}
     if primes != set(zmodules.ass(m).generators):

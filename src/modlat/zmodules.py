@@ -203,6 +203,14 @@ class ZModule:
         return " + ".join(parts) if parts else "0"
 
 
+def prime_types(module: ZModule) -> dict[int, tuple[int, ...]]:
+    """The type of each primary part: prime -> exponents, largest first."""
+    out: dict[int, tuple[int, ...]] = {}
+    for p, e in reversed(module.primary_factors):
+        out[p] = out.get(p, ()) + (e,)
+    return out
+
+
 def _module(rank: int, parts) -> ZModule:
     """Z^rank plus the p-group of each (p, type) pair, without factorizing:
     a type lists its exponents largest first."""
@@ -304,8 +312,7 @@ def torsion_submodule(ideal: IdealZ, m: ZModule) -> ZModule:
         return m
     if ideal.is_unit():
         return ZModule.zero()
-    keep = [p ** e for p, e in m.primary_factors if ideal.n % p == 0]
-    return ZModule.from_cyclic_orders(0, keep)
+    return _module(0, ((p, lam) for p, lam in prime_types(m).items() if ideal.n % p == 0))
 
 
 def is_torsion(ideal: IdealZ, m: ZModule) -> bool:
@@ -519,14 +526,11 @@ def cyclic_filtration(m: ZModule) -> tuple[IdealZ, ...]:
 
 
 def filtration_steps(m: ZModule) -> tuple[ZModule, ...]:
-    """The descending chain of quotients realized by cyclic_filtration."""
-    steps = [m]
-    orders = list(m.generator_orders)
-    while orders:
-        orders.pop(0)
-        rank = sum(1 for d in orders if d == 0)
-        steps.append(ZModule.from_cyclic_orders(rank, [d for d in orders if d]))
-    return tuple(steps)
+    """The descending chain of quotients realized by cyclic_filtration: after
+    i generators, the canonical chain without its first i orders."""
+    k = len(m.torsion)
+    return tuple(ZModule(m.free_rank - max(i - k, 0), m.torsion[i:])
+                 for i in range(m.generator_count + 1))
 
 
 def coprimary_components(m: ZModule) -> tuple[tuple[PrimeId, ZModule], ...]:
@@ -538,10 +542,8 @@ def coprimary_components(m: ZModule) -> tuple[tuple[PrimeId, ZModule], ...]:
     out = []
     if m.free_rank > 0:
         out.append((PrimeId.z_generic(), ZModule.free(m.free_rank)))
-    primary = m.primary_factors
-    for p in sorted({q for q, _ in primary}):
-        part = [q ** e for q, e in primary if q == p]
-        out.append((PrimeId.z_maximal(p), ZModule.from_cyclic_orders(0, part)))
+    out += [(PrimeId.z_maximal(p), _module(0, [(p, lam)]))
+            for p, lam in sorted(prime_types(m).items())]
     return tuple(out)
 
 

@@ -10,6 +10,7 @@ from modlat.classify import (
     ass_member,
     ass_of,
     ass_union,
+    backend_of,
     cyclic_prime_quotient,
     generated_member,
     serre_part,
@@ -231,5 +232,13 @@ def test_supp_of_dispatch():
     assert supp_of(ZModule.cyclic(4)) == SpecSubset.closure([zp(2)])
     m = MonomialModule.cyclic(MonomialIdeal.of(XY, [(1, 0)]))
     assert supp_of(m) == SpecSubset.closure([PrimeId.monomial(XY, ["x"])])
+    assert ass_of(m) == SpecSubset.explicit([PrimeId.monomial(XY, ["x"])],
+                                            backend=m.backend)
+    assert backend_of(ZModule.cyclic(4)) == Z_BACKEND
+    assert backend_of(m) == m.backend
     with pytest.raises(TypeError):
         supp_of(42)
+    with pytest.raises(TypeError, match="unsupported module type int"):
+        ass_of(42)
+    with pytest.raises(TypeError, match="unsupported module type int"):
+        backend_of(42)

@@ -619,6 +619,7 @@ def test_snf_size_cap(capsys, monkeypatch):
 _VARS_8 = "a,b,c,d,e,f,g,h"
 _VARS_30 = ",".join(f"x{i}" for i in range(30))
 _PAIRS = ("a*b", "a*c", "a*d", "a*e", "a*f", "a*g", "a*h", "b*c", "b*d")
+_CHAIN_6 = "Z/2 + Z/4 + Z/8 + Z/16 + Z/32 + Z/64"
 
 
 # Each request at a cap and one past it.  Koszul and Smith caps are tested
@@ -660,6 +661,13 @@ _PAIRS = ("a*b", "a*c", "a*d", "a*e", "a*f", "a*g", "a*h", "b*c", "b*d")
     # extension middle terms grown only inside the universe: 101 classes
     (("oracle", "close", "--gens", "Z/2", "--kinds", "ext", "--primes", "2",
       "--max-exp", "100", "--max-rank", "0", "--max-factors", "1"), 0),
+    # derivations of an ambient with at most 10 generators
+    (("oracle", "derive", "--ambient", "Z^4 + " + _CHAIN_6, "--sub", "g0 + 2*g5; 3*g9"), 0),
+    (("oracle", "derive", "--ambient", "Z^5 + " + _CHAIN_6, "--sub", "g0"), 2),
+    # filtrations of a module with at most 1,000 generators
+    (("filtration", " + ".join(["Z/2"] * 1000)), 0),
+    (("filtration", " + ".join(["Z/2"] * 1001)), 2),
+    (("filtration", "Z^1000000000"), 2),
 ])
 def test_requests_at_and_past_each_cap(capsys, argv, code):
     start = time.process_time()

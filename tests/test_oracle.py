@@ -35,6 +35,7 @@ from modlat.oracle import (
     surjects_onto,
 )
 from modlat.spectrum import Z_BACKEND
+from modlat.suites import generator_sets
 from modlat.zmodules import (
     ZModule,
     ZModuleMap,
@@ -543,6 +544,70 @@ def test_closure_operation_implications():
         sub_coker = close(gens, {"subobjects", "cokernels"}, ACCEPT)
         ok, counter = check_closed(sub_coker.members, "quotients", ACCEPT)
         assert ok, counter
+
+
+def _naive_close(generators, kinds, universe, applied):
+    """The fixed point by definition: each round applies every requested kind
+    to every input over the members so far, until a round adds nothing.
+    Classes are numbered by their place in `universe.members()`, and
+    `applied` keeps each application's outcome, keyed by kind and inputs."""
+    members = universe.members()
+    index = {m: i for i, m in enumerate(members)}
+    current = {index[ZModule.zero()], *(index[g] for g in generators)}
+    clipped, iterations = False, 0
+    while True:
+        iterations += 1
+        produced = set()
+        for kind in kinds:
+            arity, apply = oracle._OPERATIONS[kind]
+            for inputs in product(current, repeat=arity):
+                key = kind, inputs
+                if key not in applied:
+                    results, escaped = apply(universe, *(members[i] for i in inputs))
+                    applied[key] = frozenset(index[r] for r in results), escaped
+                results, escaped = applied[key]
+                produced |= results
+                clipped = clipped or escaped
+        if produced <= current:
+            return ClosureResult(frozenset(members[i] for i in current), clipped, iterations)
+        current |= produced
+
+
+_SERRE = ("subobjects", "quotients", "extensions", "finite_sums")
+_COHERENT = ("kernels", "cokernels", "extensions", "finite_sums")
+
+
+@pytest.mark.parametrize("kinds", [
+    _SERRE, _COHERENT, ("subobjects", "images", "summands")], ids=str)
+def test_close_matches_the_naive_fixed_point(kinds):
+    # every generator set of the acceptance universe, with the covered kinds
+    # applied in the naive fixed point and skipped by close
+    applied = {}
+    for gens in generator_sets(ACCEPT):
+        assert close(gens, kinds, ACCEPT) == _naive_close(gens, kinds, ACCEPT, applied), gens
+
+
+def test_close_skips_kinds_another_requested_kind_covers(monkeypatch):
+    # a finite sum is a split extension, and kernels, summands and images are
+    # subgroups of an input: beside extensions or subobjects they add no
+    # class and set no clip flag, so close never applies them there
+    cases = [(gens, kinds, u)
+             for u in (ACCEPT, Universe((2,), 1, 0, 1), Universe((2,), 3, 1, 3))
+             for kinds in (_SERRE, ("extensions", "finite_sums"),
+                           ("subobjects", "kernels", "summands", "images"),
+                           oracle.CLOSURE_KINDS)
+             for gens in ([ZModule.cyclic(2)], [ZModule.free(1)],
+                          [ZModule.cyclic(2), ZModule.cyclic(4)])
+             if all(g in u for g in gens)]
+    expected = [close(*case) for case in cases]
+    assert any(r.clipped for r in expected) and not all(r.clipped for r in expected)
+
+    def refuse(*args):
+        raise AssertionError("a covered kind was applied")
+
+    for kind in ("finite_sums", "images", "summands", "kernels"):
+        monkeypatch.setitem(oracle._OPERATIONS, kind, (oracle._OPERATIONS[kind][0], refuse))
+    assert [close(*case) for case in cases] == expected
 
 
 def _all_maps(m, n, free_bound=2):

@@ -368,6 +368,27 @@ def test_cyclic_filtration_examples():
     assert steps == (ZModule(0, (2, 4)), ZModule.cyclic(4), ZModule.zero())
 
 
+def _filtration_steps_by_popping(m):
+    """The steps as built before they were read off the canonical chain:
+    drop the first generator order, then canonicalize what is left."""
+    steps = [m]
+    orders = list(m.generator_orders)
+    while orders:
+        orders.pop(0)
+        rank = sum(1 for d in orders if d == 0)
+        steps.append(ZModule.from_cyclic_orders(rank, [d for d in orders if d]))
+    return tuple(steps)
+
+
+def test_filtration_steps_match_popping_and_recanonicalizing():
+    rng = random.Random("filtration-steps")
+    for _ in range(400):
+        m = ZModule.from_cyclic_orders(
+            rng.randrange(4),
+            [rng.choice((2, 3, 5)) ** rng.randrange(1, 4) for _ in range(rng.randrange(7))])
+        assert filtration_steps(m) == _filtration_steps_by_popping(m), m
+
+
 def test_coprimary_components_examples():
     comps = coprimary_components(ZModule.from_cyclic_orders(1, [12]))
     assert comps == (
