@@ -33,11 +33,10 @@ from .literals import (
     parse_zmodule,
     split_top_level,
 )
-from .oracle import OracleCapError, Universe
+from .oracle import Universe
 from .spectrum import PrimeId, Z_BACKEND, monomial_backend
 from .suites import SuiteReport
 
-KIND_BY_NAME = {k.value: k for k in ClosureKind}
 # Input caps, checked before any work.  A length-r Koszul sequence builds
 # differentials of up to C(r, r/2) rows, and each term past 7 makes the table
 # about five times slower: seeded two-digit terms took at most 0.04 s at
@@ -284,7 +283,7 @@ def cmd_koszul(args) -> tuple[int, dict]:
 
 def cmd_classify_member(args) -> tuple[int, dict]:
     backend = _backend_from_args(args)
-    kind = KIND_BY_NAME[args.kind]
+    kind = ClosureKind(args.kind)
     module = parse_module(args.module, backend)
     if args.gens is not None:
         gens = [parse_module(g, backend) for g in split_top_level(args.gens)
@@ -335,7 +334,7 @@ def cmd_oracle_close(args) -> tuple[int, dict]:
     return 0, {
         "generators": [str(g) for g in gens],
         "kinds": sorted(kinds),
-        "universe_size": len(universe.members()),
+        "universe_size": universe.class_count(),
         "closure": sorted(str(m) for m in result.members),
         "clipped": result.clipped,
         "iterations": result.iterations,
@@ -442,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = csub.add_parser("member", help="subcategory membership")
     add_backend(c)
-    c.add_argument("--kind", choices=sorted(KIND_BY_NAME), required=True)
+    c.add_argument("--kind", choices=sorted(k.value for k in ClosureKind), required=True)
     c.add_argument("--module", required=True)
     group = c.add_mutually_exclusive_group(required=True)
     group.add_argument("--gens", help="comma list of generator module literals")
@@ -475,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = osub.add_parser("close", help="closure of generators inside a universe")
     o.add_argument("--gens", default="", help="comma list of module literals")
     o.add_argument("--kinds", required=True,
-                   help="comma list: sub,quot,ext,sums,ker,coker,summands,images")
+                   help="comma list of " + ", ".join(sorted(_KIND_ALIASES)))
     o.add_argument("--primes", default="2,3")
     o.add_argument("--max-exp", type=int, default=2)
     o.add_argument("--max-rank", type=int, default=1)
@@ -576,7 +575,7 @@ def main(argv=None) -> int:
             return 2 if exc.code not in (0, None) else 0
     try:
         code, payload = args.handler(args)
-    except (LiteralError, ValueError, OracleCapError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args)

@@ -22,10 +22,11 @@ Littlewood-Richardson product.  One operation table serves both `close` and
 `check_closed`, and `close` reaches its fixed point semi-naively: each round
 applies operations only to inputs that include a class the round before
 added, and no kind is applied whose results another requested kind gives
-too: finite sums beside extensions, and kernels, summands and images beside
-subobjects.  Universes are closed under subgroups and under sub-multisets of
-primary factors, which is what makes the universe-restricted fixed points
-meaningful.
+too: finite sums beside extensions, kernels beside subobjects, cokernels
+beside quotients, and summands and images beside either.  A closure past
+CLOSURE_WORK_CAP is refused before it starts.  Universes are closed under
+subgroups and sub-multisets of primary factors, which is what makes the
+universe-restricted fixed points meaningful.
 
 Explicit subgroups are echelon lattices, so membership, subgroup classes
 and each derivation stage's colon step take no Smith transform; only each
@@ -58,23 +59,14 @@ TORSION_ORDER_CAP = 2 ** 14
 # enumerated.  A closure adds at least one class per round, so it stops
 # within CLASS_CAP + 1 rounds.
 CLASS_CAP = 5000
-CLOSURE_KINDS = (
-    "subobjects",
-    "quotients",
-    "extensions",
-    "finite_sums",
-    "kernels",
-    "cokernels",
-    "summands",
-    "images",
-)
-# kind -> a kind whose results include its own: a direct sum is the split
-# extension, and kernels, summands and images are subgroups of an input.
-_COVERED_BY = {"finite_sums": "extensions", "kernels": "subobjects",
-               "summands": "subobjects", "images": "subobjects"}
+# A closure over N classes is refused before any table is read when the sum
+# of N^w over its applied kinds, w from each kind's row, passes this.  On a
+# grid of universes up to it, admitted closures took at most 1.7 s of CPU
+# (2-vCPU VM), coherent ones over (2,), e = 2, r = 1, f = 7 the slowest.
+CLOSURE_WORK_CAP = 25_000
 
 
-class OracleCapError(RuntimeError):
+class OracleCapError(ValueError):
     """A brute-force enumeration exceeded its configured cap."""
 
 
@@ -438,22 +430,26 @@ def _sums(universe: Universe, a: ZModule, b: ZModule) -> tuple[frozenset, bool]:
     return (frozenset({s}), False) if s in universe else (frozenset(), True)
 
 
-# kind -> (arity, (result classes of one application that lie in the
-# universe, whether some result does not)).  Subobjects, summands, kernels
-# and images of members are members, since universes are closed under
-# subgroups and sub-multisets of primary factors, and so are the quotients of
-# a torsion member; a free part has quotients of every torsion order.  Tables
-# are looked up by name at call time.
+# kind -> (arity; w, so that a closure over N classes reads the table at most
+# N^w times, the quotient table scanning every member per application; the
+# table: one application's result classes in the universe, and whether some
+# result is not; the kinds whose results include its own).  Universes are
+# closed under subgroups and sub-multisets of primary factors, so only a free
+# part's quotients, sums, extensions and cokernels can leave one.  A direct
+# sum is the split extension, a kernel a subgroup of its source, a cokernel a
+# quotient of its target, and summands and images are both.  Tables are looked
+# up by name at call time.
 _OPERATIONS = {
-    "subobjects": (1, lambda u, m: (subobject_types(m), False)),
-    "quotients": (1, lambda u, m: (quotient_types(m, u), m.free_rank > 0)),
-    "summands": (1, lambda u, m: (summand_types(m), False)),
-    "finite_sums": (2, _sums),
-    "extensions": (2, lambda u, a, c: extension_types(a, c, u)),
-    "kernels": (2, lambda u, a, b: (kernel_types(a, b), False)),
-    "cokernels": (2, lambda u, a, b: cokernel_types(a, b, u)),
-    "images": (2, lambda u, a, b: (image_types(a, b), False)),
+    "subobjects": (1, 1, lambda u, m: (subobject_types(m), False), ()),
+    "quotients": (1, 2, lambda u, m: (quotient_types(m, u), m.free_rank > 0), ()),
+    "extensions": (2, 2, lambda u, a, c: extension_types(a, c, u), ()),
+    "finite_sums": (2, 2, _sums, ("extensions",)),
+    "kernels": (2, 2, lambda u, a, b: (kernel_types(a, b), False), ("subobjects",)),
+    "cokernels": (2, 2, lambda u, a, b: cokernel_types(a, b, u), ("quotients",)),
+    "summands": (1, 1, lambda u, m: (summand_types(m), False), ("subobjects", "quotients")),
+    "images": (2, 2, lambda u, a, b: (image_types(a, b), False), ("subobjects", "quotients")),
 }
+CLOSURE_KINDS = tuple(_OPERATIONS)
 
 
 def _applications(kind: str, members, universe: Universe, new):
@@ -463,7 +459,7 @@ def _applications(kind: str, members, universe: Universe, new):
     otherwise only with those in `new`."""
     if kind not in _OPERATIONS:
         raise ValueError(f"unknown closure kind {kind!r}")
-    arity, apply = _OPERATIONS[kind]
+    arity, _, apply, _ = _OPERATIONS[kind]
     fresh = [m for m in members if m in new]
     for x in fresh if arity == 1 else members:
         for rest in product(members if x in new else fresh, repeat=arity - 1):
@@ -486,13 +482,15 @@ def close(generators, kinds, universe: Universe) -> ClosureResult:
     operation result fell outside the universe and was discarded.  Each
     iteration applies the operations only to inputs that include a class
     added by the iteration before; the other applications were made already.
-    A kind is not applied when the kind `_COVERED_BY` names is requested too:
-    its results are among that kind's, it clips only where that kind does,
-    and its torsion-cap checks read subgroup tables that `subobjects`, first
-    in CLOSURE_KINDS order, has read for every member.
+    A kind is not applied beside a kind its row says covers it: its results
+    are among that kind's, it clips only where that kind does, and its
+    torsion-cap checks read classes no larger than its inputs, which the
+    covering kind, earlier in CLOSURE_KINDS order, checks at every member.
+    Over N classes, the closure is refused before any table is read when the
+    sum of N^w over the applied kinds passes CLOSURE_WORK_CAP.
     """
     kinds = frozenset(kinds)
-    unknown = kinds - set(CLOSURE_KINDS)
+    unknown = kinds - _OPERATIONS.keys()
     if unknown:
         raise ValueError(f"unknown closure kinds: {sorted(unknown)}")
     current = {ZModule.zero()}
@@ -500,7 +498,11 @@ def close(generators, kinds, universe: Universe) -> ClosureResult:
         if g not in universe:
             raise ValueError(f"generator {g} lies outside the universe")
         current.add(g)
-    applied = [k for k in CLOSURE_KINDS if k in kinds and _COVERED_BY.get(k) not in kinds]
+    applied = [k for k, (*_, covering) in _OPERATIONS.items()
+               if k in kinds and not kinds.intersection(covering)]
+    work = sum(universe.class_count() ** _OPERATIONS[k][1] for k in applied)
+    if work > CLOSURE_WORK_CAP:
+        raise OracleCapError(f"closure work {work} above cap {CLOSURE_WORK_CAP}")
     clipped = False
     iterations = 0
     fresh = set(current)
@@ -611,7 +613,7 @@ class _Subgroup:
 class TraceStep:
     """One replayable derivation step.
 
-    op is one of start | kernel | cokernel | summand | finite_sum; inputs
+    op is one of start | kernel | cokernel | summand; inputs
     reference earlier steps.  A summand step stores the idempotent-style
     endomorphism whose kernel extracts the summand, so replay runs it as a
     kernel.
@@ -652,8 +654,6 @@ class DerivationTrace:
             elif step.op == "cokernel":
                 src = results[step.inputs[0]]
                 value = zmodules.cokernel(ZModuleMap(src, src, step.matrix))
-            elif step.op == "finite_sum":
-                value = direct_sum(*(results[i] for i in step.inputs))
             else:
                 raise ReplayError(f"unknown op {step.op!r} at step {idx}")
             if value != step.result:

@@ -657,7 +657,7 @@ def _derivation_trial(rng: random.Random, t: int) -> str | None:
         return f"trial {t}: replay failed: {exc}"
     if final != expected:
         return f"trial {t}: derived {final}, subgroup is {expected}"
-    allowed = {"start", "kernel", "cokernel", "summand", "finite_sum"}
+    allowed = {"start", "kernel", "cokernel", "summand"}
     if any(s.op not in allowed for s in trace.steps):
         return f"trial {t}: illegal operation in trace"
     return None

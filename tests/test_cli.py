@@ -654,8 +654,8 @@ _CHAIN_6 = "Z/2 + Z/4 + Z/8 + Z/16 + Z/32 + Z/64"
     # psi_12, the least strong pseudoprime to bases 2..37, is not certified
     (("supp", "Z/318665857834031151167461"), 2),
     # cokernels onto Z take d only from the universe's torsion orders, not
-    # from every d up to its largest, (3^12)^2; a later table meets the
-    # torsion cap
+    # from every d up to its largest, (3^12)^2; its 650^2 table reads now
+    # pass the closure work cap before any table is read
     (("oracle", "close", "--gens", "Z", "--kinds", "coker", "--primes", "2,3",
       "--max-exp", "12", "--max-factors", "2"), 2),
     # extension middle terms grown only inside the universe: 101 classes
@@ -668,6 +668,18 @@ _CHAIN_6 = "Z/2 + Z/4 + Z/8 + Z/16 + Z/32 + Z/64"
     (("filtration", " + ".join(["Z/2"] * 1000)), 0),
     (("filtration", " + ".join(["Z/2"] * 1001)), 2),
     (("filtration", "Z^1000000000"), 2),
+    # closure work: N^2 table reads for quotients and each binary kind, N for
+    # subobjects, summed over the kinds applied; 158^2 = 24,964 and
+    # 160^2 = 25,600 around the cap of 25,000
+    (("oracle", "close", "--gens", "Z/2", "--kinds", "quot", "--primes", "2",
+      "--max-exp", "1", "--max-rank", "78", "--max-factors", "1"), 0),
+    (("oracle", "close", "--gens", "Z/2", "--kinds", "quot", "--primes", "2",
+      "--max-exp", "1", "--max-rank", "79", "--max-factors", "1"), 2),
+    # 5,000 classes: 25 M applications each of quotients and extensions
+    (("oracle", "close", "--gens", "Z", "--kinds", "sub,quot,ext,sums", "--primes", "2,3,5",
+      "--max-exp", "1", "--max-rank", "249", "--max-factors", "3"), 2),
+    (("oracle", "close", "--gens", "Z^249", "--kinds", "quot", "--primes", "2,3,5",
+      "--max-exp", "1", "--max-rank", "249", "--max-factors", "3"), 2),
 ])
 def test_requests_at_and_past_each_cap(capsys, argv, code):
     start = time.process_time()
@@ -678,6 +690,19 @@ def test_requests_at_and_past_each_cap(capsys, argv, code):
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out
     assert time.process_time() - start < 2.0
+
+
+def test_oracle_close_counts_the_universe_without_enumerating_it(capsys):
+    # subobject tables never read the member list, and the size is counted
+    from modlat import oracle
+
+    before = oracle._enumerate_universe.cache_info()
+    code, payload = run_json(capsys, "oracle", "close", "--gens", "Z/2", "--kinds", "sub",
+                             "--primes", "2,3,5", "--max-exp", "1", "--max-rank", "249",
+                             "--max-factors", "3")
+    assert code == 0 and payload["universe_size"] == 5000
+    assert payload["closure"] == ["0", "Z/2"]
+    assert oracle._enumerate_universe.cache_info() == before
 
 
 def _fresh_run(argv, **env):

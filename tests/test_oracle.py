@@ -559,7 +559,7 @@ def _naive_close(generators, kinds, universe, applied):
         iterations += 1
         produced = set()
         for kind in kinds:
-            arity, apply = oracle._OPERATIONS[kind]
+            arity, _, apply, _ = oracle._OPERATIONS[kind]
             for inputs in product(current, repeat=arity):
                 key = kind, inputs
                 if key not in applied:
@@ -578,7 +578,8 @@ _COHERENT = ("kernels", "cokernels", "extensions", "finite_sums")
 
 
 @pytest.mark.parametrize("kinds", [
-    _SERRE, _COHERENT, ("subobjects", "images", "summands")], ids=str)
+    _SERRE, _COHERENT, ("subobjects", "images", "summands"),
+    ("quotients", "cokernels", "images", "summands")], ids=str)
 def test_close_matches_the_naive_fixed_point(kinds):
     # every generator set of the acceptance universe, with the covered kinds
     # applied in the naive fixed point and skipped by close
@@ -588,9 +589,10 @@ def test_close_matches_the_naive_fixed_point(kinds):
 
 
 def test_close_skips_kinds_another_requested_kind_covers(monkeypatch):
-    # a finite sum is a split extension, and kernels, summands and images are
-    # subgroups of an input: beside extensions or subobjects they add no
-    # class and set no clip flag, so close never applies them there
+    # a finite sum is a split extension, kernels are subgroups of an input,
+    # cokernels quotients of one, and summands and images both: beside the
+    # kind that covers them they add no class and set no clip flag, so close
+    # never applies them there
     cases = [(gens, kinds, u)
              for u in (ACCEPT, Universe((2,), 1, 0, 1), Universe((2,), 3, 1, 3))
              for kinds in (_SERRE, ("extensions", "finite_sums"),
@@ -601,13 +603,29 @@ def test_close_skips_kinds_another_requested_kind_covers(monkeypatch):
              if all(g in u for g in gens)]
     expected = [close(*case) for case in cases]
     assert any(r.clipped for r in expected) and not all(r.clipped for r in expected)
+    # beside quotients, over universes of rank 1 and 2, compared with close
+    # on the kinds that are left
+    covered = {"cokernels", "images", "summands"}
+    quotient_cases = [(gens, kinds, u)
+                      for u in (ACCEPT, Universe((2,), 2, 2, 2), Universe((2, 3), 1, 2, 2))
+                      for kinds in (("quotients", "cokernels"),
+                                    ("quotients", "images", "summands"),
+                                    ("quotients", "extensions", *sorted(covered)))
+                      for gens in ([ZModule.cyclic(2)], [ZModule.free(1)],
+                                   [ZModule.free(2)], [ZModule.free(1), ZModule.cyclic(4)])
+                      if all(g in u for g in gens)]
+    left = [close(gens, set(kinds) - covered, u) for gens, kinds, u in quotient_cases]
+    assert any(r.clipped for r in left) and not all(r.clipped for r in left)
+    assert any(u.max_rank == 2 and "cokernels" in kinds for _, kinds, u in quotient_cases)
 
     def refuse(*args):
         raise AssertionError("a covered kind was applied")
 
-    for kind in ("finite_sums", "images", "summands", "kernels"):
-        monkeypatch.setitem(oracle._OPERATIONS, kind, (oracle._OPERATIONS[kind][0], refuse))
+    for kind in ("finite_sums", "images", "summands", "kernels", "cokernels"):
+        arity, work, _, covering = oracle._OPERATIONS[kind]
+        monkeypatch.setitem(oracle._OPERATIONS, kind, (arity, work, refuse, covering))
     assert [close(*case) for case in cases] == expected
+    assert [close(*case) for case in quotient_cases] == left
 
 
 def _all_maps(m, n, free_bound=2):
@@ -819,7 +837,7 @@ def test_derive_submodule_random():
         gens = IntMatrix.from_columns(cols, rows=g)
         trace = derive_submodule(ambient, gens)
         assert trace.replay() == subgroup_type(ambient, gens)
-        allowed = {"start", "kernel", "cokernel", "summand", "finite_sum"}
+        allowed = {"start", "kernel", "cokernel", "summand"}
         assert all(s.op in allowed for s in trace.steps)
 
 
@@ -953,6 +971,20 @@ def test_replay_detects_tampering():
     tampered = DerivationTrace(trace.ambient, tuple(bad_steps))
     with pytest.raises(oracle.ReplayError):
         tampered.replay()
+
+
+def test_replay_rejects_finite_sum():
+    # no derivation emits finite sums, so replay knows no such op
+    two = ZModule.cyclic(2)
+    trace = DerivationTrace(two, (oracle.TraceStep("start", (), None, two),
+                                  oracle.TraceStep("finite_sum", (0, 0), None,
+                                                   direct_sum(two, two))))
+    with pytest.raises(oracle.ReplayError, match="unknown op 'finite_sum' at step 1"):
+        trace.replay()
+
+
+def test_oracle_cap_error_is_a_value_error():
+    assert issubclass(OracleCapError, ValueError)
 
 
 def test_torsion_cap():
