@@ -12,7 +12,8 @@ the middle terms of extensions.  Surjections follow an interlacing rule,
 kernels and cokernels the (mu, nu) pairs, and a free part of an extension's
 sub turns into a choice of such a pair.  `tests/torsion_reference.py`
 builds the same tables by element and cocycle enumeration, as the tests'
-reference.  Every cokernel is read from the extension table.
+reference.  Every cokernel, onto a target of any free rank, is read from the
+extension table.
 Each table returns the result classes of one application that lie in the
 universe, and whether some exact result does not: results outside the
 universe are discarded and recorded through a clip flag, never silently.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product, zip_longest
+from itertools import combinations, combinations_with_replacement, product, takewhile, zip_longest
 from math import gcd
 
 from . import zmodules
@@ -61,8 +62,9 @@ TORSION_ORDER_CAP = 2 ** 14
 CLASS_CAP = 5000
 # A closure over N classes is refused before any table is read when the sum
 # of N^w over its applied kinds, w from each kind's row, passes this.  On a
-# grid of universes up to it, admitted closures took at most 1.7 s of CPU
-# (2-vCPU VM), coherent ones over (2,), e = 2, r = 1, f = 7 the slowest.
+# grid of universes up to it, admitted closures took at most 3.5 s of CPU
+# (2-vCPU VM), cokernel ones of all 144 classes over (2,), e = 7, r = 3,
+# f = 2 the slowest.
 CLOSURE_WORK_CAP = 25_000
 
 
@@ -335,42 +337,47 @@ def cokernel_types(source: ZModule, target: ZModule,
     """Cokernel classes of maps source -> target that lie in the universe,
     and whether some cokernel does not.
 
-    The image of a map is a subgroup of the target that the source surjects
-    onto, so cokernels are quotients of the target by such subgroups.  For a
-    target Z^f + T with f <= 1, such a subgroup meets T in some H and
-    projects onto dZ in Z^f, and it is generated by H and a lift (t, d); the
-    quotient is the extension of Z/d by T/H with class t in (T/H)/d(T/H), so
-    the quotients over all t are exactly `extension_types(T/H, Z/d)`.  Here
-    d = 0 when f = 1 and the image is H, and Z/1 = 0 when f = 0.  The image
-    is abstractly H, or Z + H when d > 0, and the subgroups H of T enter only
-    through the classes of H and T/H.  A quotient with d > 0 is finite of
-    order d*|T/H|, so it lies in the universe only if that is the order of a
-    torsion class there: d is taken from those orders alone, and the larger
-    d, which always escape, set the clip flag.  Targets of free rank >= 2
-    are outside the oracle's scope.
+    The image S of a map into Z^f + T meets T in some H and projects onto a
+    lattice L of rank k <= f in Z^f.  So S is Z^k + H, which the source must
+    surject onto, and Z^f/L is Z^(f-k) + C with C finite of at most k
+    invariant factors.  The cokernel is an extension of Z^f/L by T/H, and
+    every class in Ext(Z^f/L, T/H) occurs: since Ext(Z^f, -) = 0, Hom(L, T/H)
+    maps onto it, and a map on L is a choice of lifts of L's basis into T.
+    C is a quotient of the cokernel's torsion, so a cokernel in the universe
+    has C among the universe's torsion classes, and the cokernels are the
+    `extension_types(T/H, Z^(f-k) + C)` over H, k and such C.  Each k >= 1
+    admits C of any order, so it sets the clip flag.  The subgroups H of T
+    enter only through the classes of H and T/H.
     """
-    if target.free_rank > 1:
-        raise OracleCapError("cokernel enumeration supports target free rank <= 1")
+    f = target.free_rank
     out = set()
     clipped = False
-    orders = _torsion_orders(universe)
     for sub_type, residue in _subgroups(target):
-        ds = [1 - target.free_rank] if surjects_onto(source, sub_type) else []
-        if target.free_rank and surjects_onto(source, direct_sum(ZModule.free(1), sub_type)):
-            clipped = True
-            n = residue.torsion_order()
-            ds += [o // n for o in orders if o % n == 0]
-        for d in ds:
-            classes, escaped = extension_types(residue, ZModule.cyclic(d), universe)
+        ranks = [k for k in range(min(f, source.free_rank) + 1)
+                 if surjects_onto(source, ZModule(k, sub_type.torsion))]
+        if ranks:  # a prefix: the source surjects onto Z^(k-1) + H if onto Z^k + H
+            classes, escaped = _cokernels_by_residue(residue, f, ranks[-1], universe)
             out |= classes
             clipped = clipped or escaped
     return frozenset(out), clipped
 
 
 @lru_cache(maxsize=None)
-def _torsion_orders(universe: Universe) -> frozenset:
-    """The orders of the universe's torsion classes."""
-    return frozenset(m.torsion_order() for m in universe.members() if not m.free_rank)
+def _cokernels_by_residue(residue: ZModule, f: int, k: int,
+                          universe: Universe) -> tuple[frozenset, bool]:
+    """The classes of `extension_types(residue, Z^(f-j) + C)` over j <= k and
+    the universe's torsion classes C of at most j invariant factors, and
+    whether some class leaves the universe, as it does whenever k >= 1."""
+    out = set()
+    clipped = k > 0
+    for j in range(k + 1):
+        # members lead with the torsion classes, fewest invariant factors first
+        for c in takewhile(lambda c: not c.free_rank and len(c.torsion) <= j,
+                           universe.members()):
+            classes, escaped = extension_types(residue, ZModule(f - j, c.torsion), universe)
+            out |= classes
+            clipped = clipped or escaped
+    return frozenset(out), clipped
 
 
 @lru_cache(maxsize=None)

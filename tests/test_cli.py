@@ -653,9 +653,9 @@ _CHAIN_6 = "Z/2 + Z/4 + Z/8 + Z/16 + Z/32 + Z/64"
     (("module", "Z/10000000000000000051"), 0),
     # psi_12, the least strong pseudoprime to bases 2..37, is not certified
     (("supp", "Z/318665857834031151167461"), 2),
-    # cokernels onto Z take d only from the universe's torsion orders, not
-    # from every d up to its largest, (3^12)^2; its 650^2 table reads now
-    # pass the closure work cap before any table is read
+    # cokernels onto Z once took every d up to the universe's largest torsion
+    # order, (3^12)^2; its 650^2 table reads now pass the closure work cap
+    # before any table is read
     (("oracle", "close", "--gens", "Z", "--kinds", "coker", "--primes", "2,3",
       "--max-exp", "12", "--max-factors", "2"), 2),
     # extension middle terms grown only inside the universe: 101 classes
