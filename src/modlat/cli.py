@@ -34,24 +34,24 @@ from .literals import (
     split_top_level,
 )
 from .oracle import Universe
-from .spectrum import PrimeId, Z_BACKEND, monomial_backend
+from .spectrum import PrimeId, Z_BACKEND, _check_context, monomial_backend
 from .suites import SuiteReport
 
 # Input caps, checked before any work.  A length-r Koszul sequence builds
-# differentials of up to C(r, r/2) rows, and each term past 7 makes the table
-# about five times slower: seeded two-digit terms took at most 0.04 s at
-# length 8, 0.24 s at length 9 and 1.2 s at length 10 (CPU time, one Xeon
-# vCPU).  The elimination works modulo a minor that is a product of up to
-# C(r-1, r/2) terms, so time also grows with the terms' size: seeded
-# length-8 sequences of 10- and 20-digit terms took at most 0.23 s, and ones
-# whose terms all share a prime with the smallest, so that no entry is a
-# unit modulo the minor, up to 1.8 s.  A full Smith form keeps unreduced
-# transforms: dense 20x20 matrices with entries in [-9, 9] took a median of
-# 6 ms and up to 0.2 s over 2,000.  A derivation of an n-generator ambient
-# prints up to n stages of n x n matrices: Z^320 printed 144 MB in 20 s, and
-# its Smith forms grow with n (seeded ambients took up to 1.0 s at 11
-# generators and 79 s at 14).  A filtration prints n + 1 steps of up to n
-# summands: 1,000 copies of Z/2 print 3 MB in 0.2 s.
+# differentials of up to C(r, r/2) rows, and eliminates modulo g^C(r-1, i-1)
+# for g the gcd of its terms, so only a table with g > 1 eliminates at all:
+# seeded two-digit terms with a common factor 2, 3 or 6 took at most 0.01 s
+# at length 8, 0.03 s at length 9 and 0.13 s at length 10, and without one
+# at most 0.006 s (CPU time, one Xeon vCPU).  Time also grows with g: seeded
+# length-8 sequences of 20-digit terms took at most 0.07 s with g of up to
+# 18 digits, and up to 0.9 s when every term's quotient by g shares a prime
+# with g, so that no entry is a unit modulo a power of g.  A full Smith form
+# keeps unreduced transforms: dense 20x20 matrices with entries in [-9, 9]
+# took a median of 6 ms and up to 0.2 s over 2,000.  A derivation of an
+# n-generator ambient prints up to n stages of n x n matrices: Z^320 printed
+# 144 MB in 20 s, and its Smith forms grow with n (seeded ambients took up to
+# 1.0 s at 11 generators and 79 s at 14).  A filtration prints n + 1 steps of
+# up to n summands: 1,000 copies of Z/2 print 3 MB in 0.2 s.
 KOSZUL_MAX_LENGTH = 8
 KOSZUL_MAX_DIGITS = 20
 SNF_MAX_DIM = 20
@@ -67,7 +67,9 @@ def _backend_from_args(args) -> tuple:
     variables = getattr(args, "vars", None)
     if not variables:
         raise LiteralError("", 0, "--vars for the monomial backend")
-    return monomial_backend(parse_context(variables))
+    context = parse_context(variables)
+    _check_context(context)  # before any literal, for every monomial command
+    return monomial_backend(context)
 
 
 def _subset_payload(subset) -> dict:
@@ -366,6 +368,7 @@ def cmd_oracle_derive(args) -> tuple[int, dict]:
 
 def cmd_suite(args) -> tuple[int, dict]:
     context = parse_context(args.vars) if args.vars else ("x", "y", "z")
+    _check_context(context)
     trials = args.trials
     warning = None
     if trials is not None and trials == 0:

@@ -13,27 +13,31 @@ integer sequence is built with the contraction differential
 
 which is fixed once and for all so outputs are deterministic.
 
-Its differentials need no elimination to find their rank and a minor.  For
-a nonzero term a_j, the rows of d_i on the (i-1)-subsets without j and its
-columns on the i-subsets with j form +-a_j times a permutation matrix, so
-rk d_i = C(r-1, i-1) (the complex is exact over Q) and |a_j|^C(r-1, i-1) is
-a nonzero maximal minor.  Taking a_j coprime to another term a_l makes the
-entries +-a_l units modulo that minor; on every table measured the Smith
-diagonal then found a unit at each step without having to make one.
-`koszul_complex` attaches these pairs to the complex it returns, and builds
-it without multiplying the differentials to check d∘d = 0.
+Its differentials need no elimination to find their rank and the product of
+their invariant factors.  For a nonzero term a_j, the rows of d_i on the
+(i-1)-subsets without j and its columns on the i-subsets with j form +-a_j
+times a permutation matrix, so rk d_i = C(r-1, i-1) (the complex is exact
+over Q).  K(x) is unimodularly equivalent to K(g, 0, ..., 0) for g the gcd
+of the terms, so every invariant factor of d_i is g: their product, the gcd
+of the maximal minors, is g^C(r-1, i-1), and with g = 1 nothing is
+eliminated.  `koszul_complex` attaches these pairs to the complex it
+returns, and builds it without multiplying the differentials to check
+d∘d = 0.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 
 from .intlinalg import IntMatrix, _diagonal_modulo, smith_diagonal
 from .spectrum import SpecSubset, Z_BACKEND
 from .zmodules import IdealZ, ZModule, supp, v_of_ideal
+
+KOSZUL_SKELETONS = 16  # lengths cached; a length-r skeleton has r * 2^(r-1) entries
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class FreeComplex:
     bottom_degree: int
     ranks: tuple[int, ...]
     differentials: tuple[IntMatrix, ...]
-    # (rank, |nonzero maximal minor|) of each differential, when known
+    # (rank, product of the invariant factors) of each differential, when known
     _known: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -65,7 +69,7 @@ class FreeComplex:
 
     @classmethod
     def _from_known(cls, bottom_degree, ranks, differentials, known) -> "FreeComplex":
-        """A complex the package built itself, with the (rank, |minor|) pair
+        """A complex the package built itself, with the (rank, modulus) pair
         of each differential: nothing is checked."""
         self = object.__new__(cls)
         vars(self).update(bottom_degree=bottom_degree, ranks=ranks,
@@ -93,37 +97,40 @@ class FreeComplex:
         return range(self.bottom_degree, self.top_degree + 1)
 
 
+@lru_cache(maxsize=KOSZUL_SKELETONS)
+def _koszul_skeleton(r: int) -> tuple:
+    """The ranks of the length-r Koszul complex, and the (row, column, j,
+    parity) of each entry (-1)^parity * x_j of each d_i."""
+    bases = [list(combinations(range(r), i)) for i in range(r + 1)]
+    index = [{sub: k for k, sub in enumerate(level)} for level in bases]
+    return tuple(map(len, bases)), tuple(
+        tuple((index[i - 1][sub[:k] + sub[k + 1:]], col, j, k % 2)
+              for col, sub in enumerate(bases[i]) for k, j in enumerate(sub))
+        for i in range(1, r + 1))
+
+
 def koszul_complex(sequence) -> FreeComplex:
-    """The exterior-algebra Koszul complex of an integer sequence.
+    """The exterior-algebra Koszul complex of an integer sequence, its
+    differentials filled in from the skeleton of its length.
 
     Terms are taken with `operator.index`, as `IntMatrix(...)` takes its
-    entries, so a non-integer term raises TypeError.  The minor of d_i is a
-    power of the least nonzero |term| coprime to some other term, else of the
-    least nonzero |term|."""
+    entries, so a non-integer term raises TypeError.  The modulus of d_i is
+    g^C(r-1, i-1), with g the gcd of the terms."""
     xs = list(map(operator.index, sequence))
     if not xs:
         raise ValueError("Koszul complex of an empty sequence")
     r = len(xs)
-    bases = [list(combinations(range(r), i)) for i in range(r + 1)]
-    index = [{sub: k for k, sub in enumerate(level)} for level in bases]
+    ranks, skeleton = _koszul_skeleton(r)
+    signed = (xs, [-x for x in xs])
     diffs = []
-    for i in range(1, r + 1):
-        rows, cols = len(bases[i - 1]), len(bases[i])
-        mat = [[0] * cols for _ in range(rows)]
-        for col, sub in enumerate(bases[i]):
-            for k, j in enumerate(sub):
-                face = sub[:k] + sub[k + 1:]
-                sign = 1 if k % 2 == 0 else -1
-                mat[index[i - 1][face]][col] += sign * xs[j]
-        diffs.append(IntMatrix._from_rows(mat, rows, cols))
-    terms = sorted((abs(x), j) for j, x in enumerate(xs) if x)
-    a = next((x for x, j in terms
-              if any(gcd(x, y) == 1 for k, y in enumerate(xs) if k != j)),
-             terms[0][0] if terms else 0)
-    known = tuple((comb(r - 1, i - 1), a ** comb(r - 1, i - 1)) if a else (0, 1)
-                  for i in range(1, r + 1))
-    return FreeComplex._from_known(0, tuple(len(level) for level in bases),
-                                   tuple(diffs), known)
+    for m, n, entries in zip(ranks, ranks[1:], skeleton):
+        mat = [[0] * n for _ in range(m)]
+        for row, col, j, parity in entries:
+            mat[row][col] = signed[parity][j]
+        diffs.append(IntMatrix._from_rows(mat, m, n))
+    g = gcd(*xs)
+    known = tuple((comb(r - 1, i), g ** comb(r - 1, i)) if g else (0, 1) for i in range(r))
+    return FreeComplex._from_known(0, ranks, tuple(diffs), known)
 
 
 def _reduce(complex_: FreeComplex, degree: int) -> tuple[int, tuple[int, ...]]:

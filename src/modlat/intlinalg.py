@@ -360,13 +360,12 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
     )
 
 
-def _find_unit(d, m, n, t, modulus):
-    """First entry of the block at (t, t), in row-major order, that is a unit
-    modulo `modulus`, or None."""
-    for i in range(t, m):
-        row = d[i]
-        for j in range(t, n):
-            if row[j] and gcd(row[j], modulus) == 1:
+def _find_unit(rows, modulus):
+    """(i, j) of the first entry of `rows`, in row-major order, that is a
+    unit modulo `modulus`, or None."""
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x and gcd(x, modulus) == 1:
                 return i, j
     return None
 
@@ -378,33 +377,36 @@ def _coprime_part(modulus: int, g: int) -> int:
     return modulus
 
 
-def _make_unit(d, m, n, t, modulus) -> None:
-    """Make (t, t) a unit modulo `modulus` when the block's entries generate
-    the unit ideal but none is a unit.
+def _make_unit(rows, modulus) -> tuple[int, int]:
+    """Make the first nonzero entry of `rows`, at (i, j), a unit modulo
+    `modulus` when their entries generate the unit ideal but none is a unit.
 
-    Adding k times column j to column t, with k the part of the modulus prime
-    to gcd(column t, modulus), keeps every prime that already fails to divide
-    column t and brings in those that column j has, so after the other
-    columns column t generates the unit ideal.  The same step on rows then
-    makes the entry (t, t) a unit.
+    Adding k times column l to column j, with k the part of the modulus prime
+    to gcd(column j, modulus), keeps every prime that already fails to divide
+    column j and brings in those that column l has, so after the other
+    columns column j generates the unit ideal.  The same step on rows then
+    makes the entry (i, j) a unit.
     """
-    g = gcd(modulus, *(row[t] for row in d[t:]))
-    for j in range(t + 1, n):
+    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+    g = gcd(modulus, *(row[j] for row in rows))
+    for col in range(len(rows[0])):
         if g == 1:
             break
-        if gcd(g, *(row[j] for row in d[t:])) < g:
+        if gcd(g, *(row[col] for row in rows)) < g:
             k = _coprime_part(modulus, g)
-            for row in d[t:]:
-                row[t] = (row[t] + k * row[j]) % modulus
-            g = gcd(modulus, *(row[t] for row in d[t:]))
-    g = gcd(modulus, d[t][t])
-    for i in range(t + 1, m):
+            for row in rows:
+                row[j] = (row[j] + k * row[col]) % modulus
+            g = gcd(modulus, *(row[j] for row in rows))
+    top = rows[i]
+    g = gcd(modulus, top[j])
+    for row in rows:
         if g == 1:
             break
-        if gcd(g, d[i][t]) < g:
+        if gcd(g, row[j]) < g:
             k = _coprime_part(modulus, g)
-            d[t][t:] = [(x + k * y) % modulus for x, y in zip(d[t][t:], d[i][t:])]
-            g = gcd(modulus, d[t][t])
+            top[:] = [(x + k * y) % modulus for x, y in zip(top, row)]
+            g = gcd(modulus, top[j])
+    return i, j
 
 
 def _rank_and_modulus(a: IntMatrix) -> tuple[int, int]:
@@ -426,58 +428,57 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     first r invariant factors divide M.  They are therefore the first r
     invariant factors of [a | M*I] too, whose column lattice contains
     M*Z^rows.  So the elimination works in (Z/M)^rows: it reduces every
-    entry modulo M, may scale a row by a unit modulo M, and no entry ever
-    exceeds M (Domich, Kannan and Trotter, Math. Oper. Res. 1987).
-
-    Each step pivots on the first entry of the block that is a unit modulo M:
-    scaled to 1, it clears its column in one pass, and the block left over
-    needs nothing more.  A block with no unit first has its common factor c
-    with M divided out, block and M alike, and every later diagonal entry is
-    multiplied by c, since the Smith form of c*X is c times that of X.  A
-    unit is then looked for again; if there is still none, the block's
-    entries and M are coprime, and adding multiples of other columns and rows
-    to the pivot's makes one (`_make_unit`).  So each step contributes the
-    product of the factors divided out so far; a block that vanishes modulo
-    M before step r contributes that times M for each remaining step; the
-    rest of the diagonal is zero.
+    entry modulo M, divides by units modulo M, and no entry ever exceeds M
+    (Domich, Kannan and Trotter, Math. Oper. Res. 1987).
     """
     return _diagonal_modulo(a, *_rank_and_modulus(a))
 
 
 def _diagonal_modulo(a: IntMatrix, rank: int, modulus: int) -> tuple[int, ...]:
-    """`smith_diagonal(a)` from the rank of `a` and a nonzero multiple of
-    every invariant factor of `a`, known to the caller."""
-    m, n = a.rows, a.cols
-    d = [[x % modulus for x in row] for row in a.data]
+    """`smith_diagonal(a)` from the rank of `a` and a nonzero multiple M of
+    its invariant factors, known to the caller; modulo 1 every factor is 1.
+
+    Each step pivots on the first entry of the working rows that is a unit
+    modulo M: the pivot row leaves them, and every row left subtracts the
+    multiple of it that zeroes the pivot's column, only where the pivot row
+    is nonzero, so no row or column is ever permuted.  Rows with no unit
+    first have their common factor c with M divided out (the Smith form of
+    c*X is c times that of X, so every later factor is multiplied by c); if
+    there is still none, the entries and M are coprime, and adding multiples
+    of other columns and rows to one entry's makes it one (`_make_unit`).
+    Rows that vanish modulo M before step r give the factors so far times M
+    for each remaining step; the rest of the diagonal is zero.
+    """
+    if modulus == 1:
+        return (1,) * rank + (0,) * (min(a.shape) - rank)
+    rows = [[x % modulus for x in row] for row in a.data]
     diag = []
     scale = 1
     for t in range(rank):
-        piv = _find_unit(d, m, n, t, modulus)
+        piv = _find_unit(rows, modulus)
         if piv is None:
-            c = gcd(modulus, *(x for row in d[t:] for x in row[t:]))
+            c = gcd(modulus, *(x for row in rows for x in row))
             if c == modulus:
                 diag += [scale * modulus] * (rank - t)
                 break
             if c > 1:
                 scale *= c
                 modulus //= c
-                for row in d[t:]:
-                    row[t:] = [x // c for x in row[t:]]
-                piv = _find_unit(d, m, n, t, modulus)
+                rows = [[x // c for x in row] for row in rows]
+                piv = _find_unit(rows, modulus)
             if piv is None:
-                _make_unit(d, m, n, t, modulus)
-                piv = (t, t)
-        d[t], d[piv[0]] = d[piv[0]], d[t]
-        for row in d[t:]:
-            row[t], row[piv[1]] = row[piv[1]], row[t]
-        inv = pow(d[t][t], -1, modulus)
-        rt = [x * inv % modulus for x in d[t][t:]]
-        for row in d[t + 1:]:
-            q = row[t]
-            if q:
-                row[t:] = [(x - q * y) % modulus for x, y in zip(row[t:], rt)]
+                piv = _make_unit(rows, modulus)
+        i, j = piv
+        top = rows.pop(i)
+        inv = pow(top[j], -1, modulus)
+        live = [(k, x) for k, x in enumerate(top) if x]
+        for row in rows:
+            if q := row[j]:
+                f = q * inv % modulus
+                for k, x in live:
+                    row[k] = (row[k] - f * x) % modulus
         diag.append(scale)
-    return tuple(diag) + (0,) * (min(m, n) - rank)
+    return tuple(diag) + (0,) * (min(a.shape) - rank)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

@@ -54,12 +54,14 @@ def test_monomial_supp(capsys):
 
 @pytest.mark.parametrize("module", ["0", "R/(1)"])
 def test_monomial_supp_of_zero_past_the_variable_cap(capsys, module):
-    # no generator, so nothing is expanded however many variables there are
-    names = ",".join(f"x{i}" for i in range(30))
+    # the zero module has no support; past the cap the context is refused
+    # before the literal is read, as for every monomial command
     code, payload = run_json(
-        capsys, "supp", "--backend", "monomial", "--vars", names, module)
+        capsys, "supp", "--backend", "monomial", "--vars", _VARS_8, module)
     assert code == 0
     assert payload["supp"]["members"] == []
+    line = _one_error_line(capsys, "supp", "--backend", "monomial", "--vars", _VARS_30, module)
+    assert line == "error: context has 30 variables, cap is 8"
 
 
 def test_grade_command(capsys):
@@ -121,7 +123,7 @@ def test_koszul_reduces_each_differential_once(capsys, monkeypatch):
             return original(a, *pair)
         return counted
 
-    # Koszul differentials are reduced with their known rank and minor, the
+    # Koszul differentials are reduced with their known rank and modulus, the
     # zero maps at either end by `smith_diagonal`.
     for name in ("smith_diagonal", "_diagonal_modulo"):
         monkeypatch.setattr(complexes, name, counting(name, getattr(complexes, name)))
@@ -620,6 +622,19 @@ _VARS_8 = "a,b,c,d,e,f,g,h"
 _VARS_30 = ",".join(f"x{i}" for i in range(30))
 _PAIRS = ("a*b", "a*c", "a*d", "a*e", "a*f", "a*g", "a*h", "b*c", "b*d")
 _CHAIN_6 = "Z/2 + Z/4 + Z/8 + Z/16 + Z/32 + Z/64"
+# Each monomial command, with its literal; `--backend monomial --vars ...`
+# goes last.
+_MONOMIAL_COMMANDS = (
+    ("module", "R"),
+    ("module", "R/(a*b, c^2)"),
+    ("ass", "R"),
+    ("ass", "R/(a*b, c^2)"),
+    ("supp", "R/(a*b, c^2)"),
+    ("classify", "member", "--kind", "serre", "--module", "R/(a)", "--gens", "R/(a*b)"),
+    ("classify", "member", "--kind", "serre", "--module", "R/(a)",
+     "--criterion", "closure{(a)}"),
+    ("classify", "examples", "--item", "1", "--trials", "5"),
+)
 
 
 # Each request at a cap and one past it.  Koszul and Smith caps are tested
@@ -680,6 +695,17 @@ _CHAIN_6 = "Z/2 + Z/4 + Z/8 + Z/16 + Z/32 + Z/64"
       "--max-exp", "1", "--max-rank", "249", "--max-factors", "3"), 2),
     (("oracle", "close", "--gens", "Z^249", "--kinds", "quot", "--primes", "2,3,5",
       "--max-exp", "1", "--max-rank", "249", "--max-factors", "3"), 2),
+    # every monomial command: at most 8 variables, refused from --vars alone
+    *[(argv + ("--backend", "monomial", "--vars", context), code)
+      for argv in _MONOMIAL_COMMANDS
+      for context, code in ((_VARS_8, 0), (_VARS_8 + ",i", 2))],
+    # the round trip and adjunction checks run over every set of up to 4 and
+    # 3 primes, which takes minutes from 6 variables, so they are only
+    # refused here
+    (("classify", "roundtrip", "--backend", "monomial", "--vars", _VARS_8 + ",i"), 2),
+    (("classify", "adjunction", "--backend", "monomial", "--vars", _VARS_8 + ",i"), 2),
+    (("suite", "--only", "correspondences", "--trials", "2", "--vars", _VARS_8), 0),
+    (("suite", "--only", "snf", "--trials", "1", "--vars", _VARS_8 + ",i"), 2),
 ])
 def test_requests_at_and_past_each_cap(capsys, argv, code):
     start = time.process_time()

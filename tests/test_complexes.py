@@ -1,6 +1,7 @@
 """Free complex and Koszul tests."""
 
 import random
+from itertools import combinations
 from math import comb, gcd
 
 import pytest
@@ -91,7 +92,7 @@ def _lattice_scale_sequences(rng):
 
 def test_koszul_known_pairs_give_smith_diagonals():
     """`smith_diagonal` reads its modulus off an echelon basis; it agrees with
-    the diagonal modulo the known minor on lattice-scale's sequences, the
+    the diagonal modulo the known modulus on lattice-scale's sequences, the
     length-8 one that once ran for minutes, and three of 20-digit terms."""
     sequences = _lattice_scale_sequences(random.Random("koszul-known-diagonals"))
     sequences.append((39, 57, 58, 26, 34, 15, 20, 27))
@@ -104,30 +105,64 @@ def test_koszul_known_pairs_give_smith_diagonals():
         assert homology_table(k) == _closed_form(seq)
 
 
-def test_koszul_minor_term_has_a_coprime_partner():
-    """On sequences whose every term shares a prime with the smallest, no
-    entry is a unit modulo a power of the smallest term, and the diagonal
-    has to make one; the minor comes from the least term coprime to some
-    other term instead.  With no coprime pair it is the smallest term."""
-    # 10-digit terms: the smallest is a multiple of 6, the rest of 2 or 3.
-    slow = [(1483429500, 4987081464, 6488588702, 5884876396,
-             4515809310, 4649455641, 4142116240, 3880747962),
-            (1580714958, 3669503433, 5425217259, 6415463139,
-             3176731332, 5081719732, 6469770608, 6183424918)]
-    for seq, term in zip(slow, (4142116240, 3669503433)):
-        assert all(gcd(x, min(seq)) > 1 for x in seq)
-        k = koszul_complex(seq)
-        assert k._known == tuple((comb(7, i), term ** comb(7, i)) for i in range(8))
-        for d, pair in zip(k.differentials, k._known):
-            assert _diagonal_modulo(d, *pair) == smith_diagonal(d)
-    # 6 shares a prime with -10 and with 9, which are coprime.
-    assert koszul_complex([0, 6, -10, 9])._known[0] == (1, 9)
+# Eight 20-digit terms with gcd g = 6007 * 6221 * 8629 * 9857, each a
+# multiple of g and of one of its primes: modulo a power of g no entry of a
+# differential is a unit, before or after g is divided out.
+SHARED_PRIME_QUOTIENTS = (
+    95466432822497359685, 39546973769852244022, 54854659485622088678,
+    31330535319838737287, 76373146257997887748, 59320460654778366033,
+    27427329742811044339, 93991605959516211861)
+
+
+def test_koszul_modulus_is_a_power_of_the_gcd(monkeypatch):
+    """The modulus of d_i is g^C(r-1, i-1) for g the gcd of the terms: 1 when
+    two terms are coprime, or when no term is coprime to another but the
+    gcd is 1; a table with g > 1 still eliminates, and reaches `_make_unit`
+    when every term's quotient by g shares a prime with g."""
+    from modlat import intlinalg
+
+    assert koszul_complex([0, 6, -10, 9])._known[0] == (1, 1)
     assert koszul_complex([0, -1, 0])._known[2] == (1, 1)
-    # Every pair of multiples of 6, 10 and 15 shares a prime, and a lone
-    # term has no partner.
-    assert koszul_complex([-30, 12, 20, 45])._known[0] == (1, 12)
-    assert koszul_complex([10, -6, 15])._known[1] == (2, 36)
+    # every pair of multiples of 6, 10 and 15 shares a prime, and g = 1
+    assert koszul_complex([-30, 12, 20, 45])._known == ((1, 1), (3, 1), (3, 1), (1, 1))
+    assert koszul_complex([10, -6, 15])._known[1] == (2, 1)
+    assert koszul_complex([6, -10, 14])._known == ((1, 2), (2, 4), (1, 2))
     assert koszul_complex([8])._known == ((1, 8),)
+    assert koszul_complex([0, 0])._known == ((0, 1), (0, 1))
+    made = []
+    real = intlinalg._make_unit
+    monkeypatch.setattr(intlinalg, "_make_unit",
+                        lambda rows, modulus: made.append(modulus) or real(rows, modulus))
+    g = 6007 * 6221 * 8629 * 9857
+    assert gcd(*SHARED_PRIME_QUOTIENTS) == g
+    assert all(gcd(x // g, g) > 1 for x in SHARED_PRIME_QUOTIENTS)
+    k = koszul_complex(SHARED_PRIME_QUOTIENTS)
+    assert k._known == tuple((comb(7, i), g ** comb(7, i)) for i in range(8))
+    assert homology_table(k) == _closed_form(SHARED_PRIME_QUOTIENTS)
+    assert made
+
+
+def test_koszul_differentials_follow_the_contraction_formula():
+    """Every entry of d_i, built from the cached skeleton of its length,
+    against d(e_J) = sum_k (-1)^k x_(j_k) e_(J without j_k), k from 0; the
+    skeleton cache has a fixed bound."""
+    from modlat import complexes
+
+    rng = random.Random("koszul-formula")
+    for length in range(1, 7):
+        for _ in range(2):
+            xs = [rng.randint(-50, 50) for _ in range(length)]
+            k = koszul_complex(xs)
+            for i, d in enumerate(k.differentials, 1):
+                faces = list(combinations(range(length), i - 1))
+                expected = [[0] * comb(length, i) for _ in faces]
+                for col, sub in enumerate(combinations(range(length), i)):
+                    for pos, j in enumerate(sub):
+                        row = faces.index(sub[:pos] + sub[pos + 1:])
+                        expected[row][col] = (-1) ** pos * xs[j]
+                assert d.to_lists() == expected, (xs, i)
+    info = complexes._koszul_skeleton.cache_info()
+    assert info.maxsize == complexes.KOSZUL_SKELETONS and info.hits
 
 
 def test_homology_examples():

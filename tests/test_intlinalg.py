@@ -317,7 +317,7 @@ def test_u_inverse_from_recorded_row_operations(strategy):
 def test_copy_and_pickle_round_trips():
     """Matrices, Smith forms and Koszul complexes survive copy, deepcopy and
     pickle; a round-tripped matrix still refuses attribute assignment, and
-    a round-tripped complex keeps the ranks and minors it was built with."""
+    a round-tripped complex keeps the ranks and moduli it was built with."""
     import copy
     import pickle
 
@@ -590,30 +590,31 @@ def test_rank_and_modulus_against_brute_force():
     assert deficient >= 30
 
 
-def test_koszul_minor_is_a_power_of_the_smallest_term():
-    """On these Koszul differentials the minor `koszul_complex` attaches is a
-    power of the smallest term, while the column-echelon modulus takes on
-    primes of the other terms and runs to hundreds of digits.  Both are
-    multiples of the invariant factors' product, and the ranks agree."""
+def test_koszul_modulus_is_the_invariant_factor_product():
+    """On these Koszul differentials the modulus `koszul_complex` attaches is
+    g^rank, for g the gcd of the terms: exactly the product of the invariant
+    factors, while the column-echelon modulus takes on primes of the terms
+    and runs to hundreds of digits.  The ranks agree."""
     from modlat.complexes import koszul_complex
 
     rng = random.Random("koszul-digits:20")
-    sequences = [(39, 57, 58, 26, 34, 15, 20, 27)]
+    sequences = [(39, 57, 58, 26, 34, 15, 20, 27), (6, 10, 15, 12), (12, -18, 30, 42, 66)]
     sequences += [tuple(rng.randrange(10 ** 19, 10 ** 20) for _ in range(8)) for _ in range(3)]
     for seq in sequences:
-        s = min(map(abs, seq))
+        g = gcd(*seq)
         k = koszul_complex(seq)
-        for i, (d, (rank, minor)) in enumerate(zip(k.differentials, k._known), 1):
-            assert (rank, minor) == (comb(len(seq) - 1, i - 1), s ** rank), (seq, d.shape)
-            echelon_rank, modulus = _rank_and_modulus(d)
+        for i, (d, (rank, modulus)) in enumerate(zip(k.differentials, k._known), 1):
+            assert (rank, modulus) == (comb(len(seq) - 1, i - 1), g ** rank), (seq, d.shape)
+            echelon_rank, echelon_modulus = _rank_and_modulus(d)
             assert echelon_rank == rank
-            factors = prod(_diagonal_modulo(d, rank, minor)[:rank])
-            assert minor % factors == 0 and modulus % factors == 0, (seq, d.shape)
+            factors = prod(_diagonal_modulo(d, rank, echelon_modulus)[:rank])
+            assert factors == modulus and echelon_modulus % factors == 0, (seq, d.shape)
 
 
-def test_koszul_known_pairs_are_rank_and_minor():
-    """The (rank, |minor|) pair `koszul_complex` attaches to each
-    differential, against a brute-force search of its rank and minors."""
+def test_koszul_known_pairs_are_rank_and_minor_gcd():
+    """The (rank, modulus) pair `koszul_complex` attaches to each
+    differential, against a brute-force search of its rank and minors: the
+    modulus is the gcd of the maximal minors."""
     from modlat.complexes import koszul_complex
 
     sequences = [(0,), (0, 0, 0), (0, 0, 0, 0), (1,), (-1, 0), (7,), (-7, 0, 0),
@@ -626,12 +627,55 @@ def test_koszul_known_pairs_are_rank_and_minor():
     for seq in sequences:
         k = koszul_complex(seq)
         assert len(k._known) == len(seq)
-        for d, (rank, minor) in zip(k.differentials, k._known):
+        for d, (rank, modulus) in zip(k.differentials, k._known):
             brute_rank, minors = _brute_rank_and_minors(d)
-            assert rank == brute_rank
-            assert minor in minors, (seq, d.shape)
-            if not any(seq):
-                assert (rank, minor) == (0, 1)
+            assert (rank, modulus) == (brute_rank, gcd(*minors)), (seq, d.shape)
+
+
+def _modulus_cases(rng):
+    """Empty and zero shapes, then seeded matrices of every kind the Smith
+    diagonal tests use, and unimodular ones, whose factors are all 1."""
+    yield IntMatrix([], rows=0, cols=3)
+    yield IntMatrix([[], [], []], rows=3, cols=0)
+    yield IntMatrix.zeros(2, 3)
+    for k in range(300):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        kind = k % 5
+        if kind == 0:
+            yield _seeded_matrix(rng, rows, cols)
+        elif kind == 1:
+            yield _seeded_matrix(rng, rows, cols, rank=rng.randrange(min(rows, cols) + 1),
+                                 scale=rng.choice((1, 2, 6, 12)))
+        elif kind == 2:
+            yield _two_prime_matrix(rng, rows, cols)
+        elif kind == 3:
+            yield _late_factor_matrix(rng, rows, cols)
+        else:
+            yield random_unimodular(rng, rows)
+
+
+def test_diagonal_modulo_matches_snf(monkeypatch):
+    """`_diagonal_modulo` against `snf(a).diagonal()`, modulo the product P
+    of the invariant factors and random multiples of it: blocks with no
+    unit reach `_make_unit`, and a modulus of 1 reads every factor as 1."""
+    from modlat import intlinalg
+
+    made = []
+    real = intlinalg._make_unit
+    monkeypatch.setattr(intlinalg, "_make_unit",
+                        lambda rows, modulus: made.append(modulus) or real(rows, modulus))
+    rng = random.Random("diagonal-modulo")
+    ones = shapes = 0
+    for a in _modulus_cases(rng):
+        diag = snf(a).diagonal()
+        nonzero = [x for x in diag if x]
+        product = prod(nonzero)
+        for modulus in (product, product * rng.randint(2, 30),
+                        product * rng.choice((2, 3, 6)) ** rng.randrange(1, 6)):
+            assert _diagonal_modulo(a, len(nonzero), modulus) == diag, (a, modulus)
+        ones += product == 1
+        shapes += not min(a.shape)
+    assert len(made) >= 100 and ones >= 100 and shapes == 2
 
 
 def _golden_matrices():
