@@ -38,25 +38,28 @@ from .spectrum import PrimeId, Z_BACKEND, _check_context, monomial_backend
 from .suites import SuiteReport
 
 # Input caps, checked before any work.  A length-r Koszul sequence builds
-# differentials of up to C(r, r/2) rows, and eliminates modulo g^C(r-1, i-1)
-# for g the gcd of its terms, so only a table with g > 1 eliminates at all:
-# seeded two-digit terms with a common factor 2, 3 or 6 took at most 0.01 s
-# at length 8, 0.03 s at length 9 and 0.13 s at length 10, and without one
-# at most 0.006 s (CPU time, one Xeon vCPU).  Time also grows with g: seeded
-# length-8 sequences of 20-digit terms took at most 0.07 s with g of up to
-# 18 digits, and up to 0.9 s when every term's quotient by g shares a prime
-# with g, so that no entry is a unit modulo a power of g.  A full Smith form
-# keeps unreduced transforms: dense 20x20 matrices with entries in [-9, 9]
-# took a median of 6 ms and up to 0.2 s over 2,000.  A derivation of an
-# n-generator ambient prints up to n stages of n x n matrices: Z^320 printed
-# 144 MB in 20 s, and its Smith forms grow with n (seeded ambients took up to
-# 1.0 s at 11 generators and 79 s at 14).  A filtration prints n + 1 steps of
-# up to n summands: 1,000 copies of Z/2 print 3 MB in 0.2 s.
+# differentials of up to C(r, r/2) rows, and reads each diagonal modulo g,
+# the gcd of its terms, which divides every entry, so no table eliminates.
+# Seeded two-digit terms, with or without a common factor 2, 3 or 6, took at
+# most 0.003 s at length 8, 0.008 s at length 9 and 0.02 s at length 10,
+# and length-8 sequences of 20-digit terms at most 0.002 s whatever their
+# gcd (CPU time, one Xeon vCPU).  A full Smith form keeps unreduced
+# transforms: dense 20x20 matrices with entries in [-9, 9] took a median of
+# 6 ms and up to 0.2 s over 2,000.  A derivation of an n-generator ambient
+# prints up to n stages of n x n matrices: Z^320 printed 144 MB in 20 s, and
+# its Smith forms grow with n (seeded ambients took up to 1.0 s at 11
+# generators and 79 s at 14).  A filtration prints n + 1 steps of up to n
+# summands: 1,000 copies of Z/2 print 3 MB in 0.2 s.  The monomial round
+# trip and adjunction checks run over every set of up to 4 and 3 of the 2^n
+# primes of an n-variable context: at 3 variables they took 0.35 s and
+# 0.62 s, at 4 0.9 s and 4.1 s, and the round trip 7.9 s at 5 (wall time of
+# a fresh process).
 KOSZUL_MAX_LENGTH = 8
 KOSZUL_MAX_DIGITS = 20
 SNF_MAX_DIM = 20
 DERIVE_MAX_GENERATORS = 10
 FILTRATION_MAX_GENERATORS = 1000
+PROBE_SUITE_MAX_VARS = 3
 _SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
 
 
@@ -70,6 +73,14 @@ def _backend_from_args(args) -> tuple:
     context = parse_context(variables)
     _check_context(context)  # before any literal, for every monomial command
     return monomial_backend(context)
+
+
+def _check_probe_context(context) -> None:
+    """Refuse a context too large for the monomial round trip and
+    adjunction checks, before any of them runs."""
+    if len(context) > PROBE_SUITE_MAX_VARS:
+        raise ValueError(f"context has {len(context)} variables, cap is "
+                         f"{PROBE_SUITE_MAX_VARS} for the round trip and adjunction checks")
 
 
 def _subset_payload(subset) -> dict:
@@ -303,7 +314,10 @@ def cmd_classify_member(args) -> tuple[int, dict]:
 
 def cmd_classify_suite(args) -> tuple[int, dict]:
     """`classify examples|roundtrip|adjunction`: the subcommand's suite."""
-    report = args.suite(args, _backend_from_args(args))
+    backend = _backend_from_args(args)
+    if args.subcommand != "examples" and backend != Z_BACKEND:
+        _check_probe_context(backend[1])
+    report = args.suite(args, backend)
     return (0 if report.passed else 1), _report_payload(report)
 
 
@@ -369,6 +383,8 @@ def cmd_oracle_derive(args) -> tuple[int, dict]:
 def cmd_suite(args) -> tuple[int, dict]:
     context = parse_context(args.vars) if args.vars else ("x", "y", "z")
     _check_context(context)
+    if args.only in (None, "roundtrip"):
+        _check_probe_context(context)
     trials = args.trials
     warning = None
     if trials is not None and trials == 0:

@@ -13,16 +13,15 @@ integer sequence is built with the contraction differential
 
 which is fixed once and for all so outputs are deterministic.
 
-Its differentials need no elimination to find their rank and the product of
-their invariant factors.  For a nonzero term a_j, the rows of d_i on the
+Its differentials need no elimination to find their rank and their largest
+invariant factor.  For a nonzero term a_j, the rows of d_i on the
 (i-1)-subsets without j and its columns on the i-subsets with j form +-a_j
 times a permutation matrix, so rk d_i = C(r-1, i-1) (the complex is exact
 over Q).  K(x) is unimodularly equivalent to K(g, 0, ..., 0) for g the gcd
-of the terms, so every invariant factor of d_i is g: their product, the gcd
-of the maximal minors, is g^C(r-1, i-1), and with g = 1 nothing is
-eliminated.  `koszul_complex` attaches these pairs to the complex it
-returns, and builds it without multiplying the differentials to check
-d∘d = 0.
+of the terms, so every invariant factor of d_i is g.  g divides every entry,
+so the diagonal read modulo g is (g, ..., g) with no elimination.
+`koszul_complex` attaches these pairs to the complex it returns, and builds
+it without multiplying the differentials to check d∘d = 0.
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ class FreeComplex:
     bottom_degree: int
     ranks: tuple[int, ...]
     differentials: tuple[IntMatrix, ...]
-    # (rank, product of the invariant factors) of each differential, when known
+    # (rank, a multiple of the largest invariant factor) of each
+    # differential, when known
     _known: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,7 +115,7 @@ def koszul_complex(sequence) -> FreeComplex:
 
     Terms are taken with `operator.index`, as `IntMatrix(...)` takes its
     entries, so a non-integer term raises TypeError.  The modulus of d_i is
-    g^C(r-1, i-1), with g the gcd of the terms."""
+    its largest invariant factor, the gcd g of the terms."""
     xs = list(map(operator.index, sequence))
     if not xs:
         raise ValueError("Koszul complex of an empty sequence")
@@ -129,7 +129,7 @@ def koszul_complex(sequence) -> FreeComplex:
             mat[row][col] = signed[parity][j]
         diffs.append(IntMatrix._from_rows(mat, m, n))
     g = gcd(*xs)
-    known = tuple((comb(r - 1, i), g ** comb(r - 1, i)) if g else (0, 1) for i in range(r))
+    known = tuple((comb(r - 1, i), g) if g else (0, 1) for i in range(r))
     return FreeComplex._from_known(0, ranks, tuple(diffs), known)
 
 

@@ -7,11 +7,11 @@ finitely generated abelian groups, kernels of module maps and the homology
 of free complexes; column-echelon bases give those diagonals their rank
 and modulus, and with forward substitution subgroup classes and membership.
 Full Smith forms with their transforms serve only the callers that read
-generators or U and V; they also record their row operations, so U^-1
-comes from the same elimination.  Each Euclid run of subtractions and swaps
-between two rows or two columns is worked out on two scalars and applied to
-the pair once, and a single subtraction touches only the pivot line's
-nonzero entries.
+generators or U and V; they also record their row operations, one record
+per Euclid run, so U^-1 comes from the same elimination.  Each Euclid run
+of subtractions and swaps between two rows or two columns is worked out on
+two scalars and applied to the pair once, and a single subtraction touches
+only the pivot line's nonzero entries.
 
 `IntMatrix(...)` coerces every entry with `operator.index` and checks the
 shape.  Matrices the package computes from its own ints are built once,
@@ -152,28 +152,53 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 class SmithDecomposition:
     """Unimodular U, V with U @ A @ V == D, D diagonal with d_i | d_{i+1}.
 
-    `row_ops` are the row operations that built U from the identity, in
+    `row_records` are the row operations that built U from the identity, in
     order: (i, k, c) adds c times row k to row i, (i, k) swaps rows i and
-    k, and (i,) negates row i.
+    k, (i,) negates row i, and (i, k, quotients, (p, q, r, s)) is a Euclid
+    run between rows i and k.  A run subtracts c times row k from row i
+    for each c of `quotients` in turn, and swaps the two rows after every
+    subtraction but the last; its composite takes the pair (row k, row i)
+    to (p*row k + q*row i, r*row k + s*row i).  `row_ops` lists the same
+    operations with each run spelled out step by step.
     """
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
-    row_ops: tuple = field(compare=False, repr=False)
+    row_records: tuple = field(compare=False, repr=False)
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
+
+    @property
+    def row_ops(self) -> tuple:
+        """The row operations one step at a time: each run becomes its
+        subtractions (i, k, -c), each but the last followed by a swap (i, k)."""
+        ops = []
+        for rec in self.row_records:
+            if len(rec) == 4:
+                i, k, quotients, _ = rec
+                ops += [op for c in quotients for op in ((i, k, -c), (i, k))][:-1]
+            else:
+                ops.append(rec)
+        return tuple(ops)
 
     def u_inverse(self) -> IntMatrix:
         """U^-1 without a second elimination.  U = E_k ... E_1 for the row
         operations E_1, ..., E_k, so U^-1 = E_1^-1 ... E_k^-1: starting from
         the identity, each operation in turn is undone as a column operation.
-        """
+        A run's composite has determinant e = +-1, so its inverse is
+        e * (s, -q, -r, p)."""
         m = self.u.rows
         cols = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-        for op in self.row_ops:
-            if len(op) == 3:
+        for op in self.row_records:
+            if len(op) == 4:
+                i, k, _, (p, q, r, s) = op
+                e = p * s - q * r
+                top, low = cols[k], cols[i]
+                cols[k] = [e * (s * x - r * y) for x, y in zip(top, low)]
+                cols[i] = [e * (p * y - q * x) for x, y in zip(top, low)]
+            elif len(op) == 3:
                 i, k, c = op
                 cols[k] = [y - c * z for y, z in zip(cols[k], cols[i])]
             elif len(op) == 2:
@@ -215,7 +240,7 @@ def _euclid_run(a, b):
         quotients.append(c)
         r, s = r - c * p, s - c * q
         if not b:
-            return quotients, (p, q, r, s)
+            return tuple(quotients), (p, q, r, s)
         a, b, p, q, r, s = b, a, r, s, p, q
 
 
@@ -233,9 +258,9 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
     and a column operation runs over rows t onward.  V is kept as its list
     of columns.  The subtractions and swaps that clear an entry against the
     pivot form a Euclid run between two rows (or two columns).  The run is
-    worked out on the two entries, its row operations recorded, and its
-    2 x 2 composite applied to the two rows of D and U (the two columns of
-    D and V) in one pass each; in D and U it skips the places where both
+    worked out on the two entries, recorded once if it is between rows, and
+    its 2 x 2 composite applied to the two rows of D and U (the two columns
+    of D and V) in one pass each; in D and U it skips the places where both
     lines are zero.  A run of one subtraction changes the other row or
     column only where the pivot line is nonzero: the pivot row's nonzero
     entries of D and U (V's column t's nonzero entries) are listed once and
@@ -290,8 +315,7 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
                 c, rest = divmod(d[i][t], d[t][t])
                 if rest:
                     quotients, (p, q, r, s) = _euclid_run(d[t][t], d[i][t])
-                    # each subtraction but the last, which leaves zero, is followed by a swap
-                    ops += [op for k in quotients for op in ((i, t, -k), (i, t))][:-1]
+                    ops.append((i, t, quotients, (p, q, r, s)))
                     top, low = d[t], d[i]
                     for k in range(t, n + m):
                         x, y = top[k], low[k]
@@ -410,10 +434,11 @@ def _make_unit(rows, modulus) -> tuple[int, int]:
 
 
 def _rank_and_modulus(a: IntMatrix) -> tuple[int, int]:
-    """Rank r of `a` and a nonzero multiple M of its invariant factors, read
-    off `column_basis(a)`: r is its column count, and M its r x r minor on
-    the pivot rows, the product of its pivots.  The basis spans the column
-    lattice of `a`, so d_1 ... d_r, the gcd of its r x r minors, divides M."""
+    """Rank r of `a` and a nonzero multiple M of its largest invariant
+    factor, read off `column_basis(a)`: r is its column count, and M its
+    r x r minor on the pivot rows, the product of its pivots.  The basis
+    spans the column lattice of `a`, so d_1 ... d_r, the gcd of its r x r
+    minors, divides M, and so does d_r."""
     if not (a.rows and a.cols):  # most calls: Koszul ends, A_free of torsion targets
         return 0, 1
     cols, pivots = echelon_pivots(column_basis(a))
@@ -423,20 +448,23 @@ def _rank_and_modulus(a: IntMatrix) -> tuple[int, int]:
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The diagonal of `snf(a)`, computed without U or V.
 
-    With r the rank of `a` and M a nonzero multiple of its invariant
-    factors, both from its column-echelon basis (`_rank_and_modulus`), the
-    first r invariant factors divide M.  They are therefore the first r
-    invariant factors of [a | M*I] too, whose column lattice contains
-    M*Z^rows.  So the elimination works in (Z/M)^rows: it reduces every
-    entry modulo M, divides by units modulo M, and no entry ever exceeds M
-    (Domich, Kannan and Trotter, Math. Oper. Res. 1987).
+    With r the rank of `a` and M a nonzero multiple of its largest
+    invariant factor d_r, both from its column-echelon basis
+    (`_rank_and_modulus`), the first r invariant factors divide M.  They
+    are therefore the first r invariant factors of [a | M*I] too, whose
+    column lattice contains M*Z^rows.  So the elimination works in
+    (Z/M)^rows: it reduces every entry modulo M, divides by units modulo M,
+    and no entry ever exceeds M (Domich, Kannan and Trotter, Math. Oper.
+    Res. 1987).
     """
     return _diagonal_modulo(a, *_rank_and_modulus(a))
 
 
 def _diagonal_modulo(a: IntMatrix, rank: int, modulus: int) -> tuple[int, ...]:
-    """`smith_diagonal(a)` from the rank of `a` and a nonzero multiple M of
-    its invariant factors, known to the caller; modulo 1 every factor is 1.
+    """`smith_diagonal(a)` from the rank r of `a` and a nonzero multiple M
+    of its largest invariant factor, known to the caller.  When M divides
+    every entry (modulo 1 it always does), it divides d_1 and so every
+    factor, and all r factors are M.
 
     Each step pivots on the first entry of the working rows that is a unit
     modulo M: the pivot row leaves them, and every row left subtracts the
@@ -449,8 +477,8 @@ def _diagonal_modulo(a: IntMatrix, rank: int, modulus: int) -> tuple[int, ...]:
     Rows that vanish modulo M before step r give the factors so far times M
     for each remaining step; the rest of the diagonal is zero.
     """
-    if modulus == 1:
-        return (1,) * rank + (0,) * (min(a.shape) - rank)
+    if modulus == 1 or not any(x % modulus for row in a.data for x in row):
+        return (modulus,) * rank + (0,) * (min(a.shape) - rank)
     rows = [[x % modulus for x in row] for row in a.data]
     diag = []
     scale = 1

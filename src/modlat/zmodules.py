@@ -443,15 +443,16 @@ def kernel(f: ZModuleMap) -> ZModule:
     respects the relations, and the free rows of A·R_M are zero.  H_1 is
     Z^(n_1 - rk d_1 - rk d_2) plus the nonunit invariant factors of d_2.
     The relations give both ranks and d_2's modulus: the top block of R_M is
-    diag(s), so d_2 has rank k_M and the nonzero minor prod(s), a multiple of
-    its invariant factors, and d_1 has rank k_N + rk A_free
+    diag(s), so d_2 has rank k_M, and the columns of d_2's transpose span
+    every s_j e_j: s[-1] kills the transpose's cokernel, whose exponent is
+    d_2's largest invariant factor.  d_1 has rank k_N + rk A_free
     (`_relations_rank_and_modulus`).  So only d_2 takes a Smith diagonal.
     """
     s, t = f.source.torsion, f.target.torsion
     d2 = IntMatrix._from_rows(presentation_matrix(f.source).data + tuple(
         [-(f.matrix[i, j] * s[j] // t[i]) for j in range(len(s))] for i in range(len(t))),
         f.source.generator_count + len(t), len(s))
-    h = _cokernel_of(d2, len(s), prod(s))
+    h = _cokernel_of(d2, len(s), s[-1] if s else 1)
     return ZModule(h.free_rank - _relations_rank_and_modulus(f)[0], h.torsion)
 
 
@@ -462,20 +463,21 @@ def cokernel(f: ZModuleMap) -> ZModule:
 
 
 def _relations_rank_and_modulus(f: ZModuleMap) -> tuple[int, int]:
-    """Rank r of [A | R_N] and a nonzero multiple M of its invariant factors.
-    Over Q the columns of R_N span the k_N torsion rows, so r is k_N plus the
-    rank of A_free, the free rows of A.  Column operations bring A_free to its
-    echelon basis and zeros, and then [A | R_N], permuted, is block triangular
-    with diag(t) as one block, so M is prod(t) times the modulus of A_free."""
+    """Rank r of [A | R_N] and a nonzero multiple M of its largest invariant
+    factor.  Over Q the columns of R_N span the k_N torsion rows, so r is
+    k_N plus the rank of A_free, the free rows of A.  The cokernel's torsion
+    maps to the torsion of coker(A_free), which the modulus of A_free kills,
+    with kernel in a quotient of the target's torsion, which t[-1] kills.
+    So its exponent, the largest factor, divides M, their product."""
     t, a = f.target.torsion, f.matrix
     rank, modulus = _rank_and_modulus(
         IntMatrix._from_rows(a.data[len(t):], a.rows - len(t), a.cols))
-    return len(t) + rank, prod(t) * modulus
+    return len(t) + rank, (t[-1] if t else 1) * modulus
 
 
 def _cokernel_of(a: IntMatrix, rank: int, modulus: int) -> ZModule:
     """`from_presentation(a)`, given the rank of `a` and a nonzero multiple
-    of its invariant factors."""
+    of its largest invariant factor."""
     diag = _diagonal_modulo(a, rank, modulus)
     return ZModule(a.rows - rank, tuple(x for x in diag if x > 1))
 
@@ -505,10 +507,15 @@ def lattice_type(ambient: ZModule, lattice: IntMatrix) -> ZModule:
     lead in the k torsion rows, so the first k pivots lie there and later
     columns are zero there; the basis's lower triangular top-left block
     times X's first k rows is diag(s).  So X has rank k and the minor
-    prod(s) / (the product of the first k pivots)."""
-    k = len(ambient.torsion)
-    minor = prod(ambient.torsion) // prod(lattice[j, j] for j in range(k))
-    return _cokernel_of(solve_echelon(lattice, presentation_matrix(ambient)), k, minor)
+    prod(s) / (the product of the first k pivots).  Its largest invariant
+    factor divides that minor, and it is 1 or the exponent of the subgroup's
+    torsion, which divides the ambient's exponent s[-1]: so it divides
+    their gcd."""
+    s = ambient.torsion
+    k = len(s)
+    minor = prod(s) // prod(lattice[j, j] for j in range(k))
+    return _cokernel_of(solve_echelon(lattice, presentation_matrix(ambient)), k,
+                        gcd(minor, s[-1]) if s else 1)
 
 
 # -- filtrations and coprimary structure ---------------------------------

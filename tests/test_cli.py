@@ -699,13 +699,20 @@ _MONOMIAL_COMMANDS = (
     *[(argv + ("--backend", "monomial", "--vars", context), code)
       for argv in _MONOMIAL_COMMANDS
       for context, code in ((_VARS_8, 0), (_VARS_8 + ",i", 2))],
-    # the round trip and adjunction checks run over every set of up to 4 and
-    # 3 primes, which takes minutes from 6 variables, so they are only
-    # refused here
+    # the round trip and adjunction checks, past the context cap here and
+    # past their own cap at the end
     (("classify", "roundtrip", "--backend", "monomial", "--vars", _VARS_8 + ",i"), 2),
     (("classify", "adjunction", "--backend", "monomial", "--vars", _VARS_8 + ",i"), 2),
     (("suite", "--only", "correspondences", "--trials", "2", "--vars", _VARS_8), 0),
     (("suite", "--only", "snf", "--trials", "1", "--vars", _VARS_8 + ",i"), 2),
+    # the round trip and adjunction checks run over every set of up to 4 and
+    # 3 primes of the context, so their context has at most 3 variables;
+    # `suite` runs the round trip on its --vars
+    *[(argv + (context,), code)
+      for argv in (("classify", "roundtrip", "--backend", "monomial", "--vars"),
+                   ("classify", "adjunction", "--backend", "monomial", "--vars"),
+                   ("suite", "--only", "roundtrip", "--trials", "2", "--vars"))
+      for context, code in (("a,b,c", 0), ("a,b,c,d", 2))],
 ])
 def test_requests_at_and_past_each_cap(capsys, argv, code):
     start = time.process_time()

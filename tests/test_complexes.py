@@ -115,10 +115,12 @@ SHARED_PRIME_QUOTIENTS = (
 
 
 def test_koszul_modulus_is_a_power_of_the_gcd(monkeypatch):
-    """The modulus of d_i is g^C(r-1, i-1) for g the gcd of the terms: 1 when
-    two terms are coprime, or when no term is coprime to another but the
-    gcd is 1; a table with g > 1 still eliminates, and reaches `_make_unit`
-    when every term's quotient by g shares a prime with g."""
+    """The modulus of every d_i is g = g^1, the gcd of the terms and d_i's
+    largest invariant factor: 1 when two terms are coprime, or when no term
+    is coprime to another but the gcd is 1.  g divides every entry, so the
+    diagonal modulo g is (g,) * rank with no elimination, even when every
+    term's quotient by g shares a prime with g; the homology is the closed
+    form (Z/g)^C(r-1, i)."""
     from modlat import intlinalg
 
     assert koszul_complex([0, 6, -10, 9])._known[0] == (1, 1)
@@ -126,20 +128,23 @@ def test_koszul_modulus_is_a_power_of_the_gcd(monkeypatch):
     # every pair of multiples of 6, 10 and 15 shares a prime, and g = 1
     assert koszul_complex([-30, 12, 20, 45])._known == ((1, 1), (3, 1), (3, 1), (1, 1))
     assert koszul_complex([10, -6, 15])._known[1] == (2, 1)
-    assert koszul_complex([6, -10, 14])._known == ((1, 2), (2, 4), (1, 2))
+    assert koszul_complex([6, -10, 14])._known == ((1, 2), (2, 2), (1, 2))
     assert koszul_complex([8])._known == ((1, 8),)
     assert koszul_complex([0, 0])._known == ((0, 1), (0, 1))
-    made = []
-    real = intlinalg._make_unit
-    monkeypatch.setattr(intlinalg, "_make_unit",
-                        lambda rows, modulus: made.append(modulus) or real(rows, modulus))
+    searched = []
+    for name in ("_find_unit", "_make_unit"):
+        real = getattr(intlinalg, name)
+        monkeypatch.setattr(intlinalg, name, lambda *args, real=real, name=name:
+                            searched.append(name) or real(*args))
     g = 6007 * 6221 * 8629 * 9857
     assert gcd(*SHARED_PRIME_QUOTIENTS) == g
     assert all(gcd(x // g, g) > 1 for x in SHARED_PRIME_QUOTIENTS)
     k = koszul_complex(SHARED_PRIME_QUOTIENTS)
-    assert k._known == tuple((comb(7, i), g ** comb(7, i)) for i in range(8))
+    assert k._known == tuple((comb(7, i), g) for i in range(8))
+    for d, (rank, modulus) in zip(k.differentials, k._known):
+        assert _diagonal_modulo(d, rank, modulus) == (g,) * rank + (0,) * (min(d.shape) - rank)
     assert homology_table(k) == _closed_form(SHARED_PRIME_QUOTIENTS)
-    assert made
+    assert not searched
 
 
 def test_koszul_differentials_follow_the_contraction_formula():

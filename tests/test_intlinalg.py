@@ -592,9 +592,12 @@ def test_rank_and_modulus_against_brute_force():
 
 def test_koszul_modulus_is_the_invariant_factor_product():
     """On these Koszul differentials the modulus `koszul_complex` attaches is
-    g^rank, for g the gcd of the terms: exactly the product of the invariant
-    factors, while the column-echelon modulus takes on primes of the terms
-    and runs to hundreds of digits.  The ranks agree."""
+    g, the gcd of the terms, and the diagonal read modulo it is (g,) * rank:
+    the same diagonal as the elimination modulo the column-echelon modulus,
+    which takes on primes of the terms and runs to hundreds of digits.  So
+    g is the largest invariant factor, and g^rank, which divides the
+    echelon modulus, is the product of the invariant factors.  The ranks
+    agree."""
     from modlat.complexes import koszul_complex
 
     rng = random.Random("koszul-digits:20")
@@ -604,18 +607,22 @@ def test_koszul_modulus_is_the_invariant_factor_product():
         g = gcd(*seq)
         k = koszul_complex(seq)
         for i, (d, (rank, modulus)) in enumerate(zip(k.differentials, k._known), 1):
-            assert (rank, modulus) == (comb(len(seq) - 1, i - 1), g ** rank), (seq, d.shape)
+            assert (rank, modulus) == (comb(len(seq) - 1, i - 1), g), (seq, d.shape)
             echelon_rank, echelon_modulus = _rank_and_modulus(d)
             assert echelon_rank == rank
-            factors = prod(_diagonal_modulo(d, rank, echelon_modulus)[:rank])
-            assert factors == modulus and echelon_modulus % factors == 0, (seq, d.shape)
+            diag = _diagonal_modulo(d, rank, echelon_modulus)
+            assert diag[:rank] == (g,) * rank, (seq, d.shape)
+            assert _diagonal_modulo(d, rank, modulus) == diag
+            assert echelon_modulus % prod(diag[:rank]) == 0, (seq, d.shape)
 
 
 def test_koszul_known_pairs_are_rank_and_minor_gcd():
     """The (rank, modulus) pair `koszul_complex` attaches to each
-    differential, against a brute-force search of its rank and minors: the
-    modulus is the gcd of the maximal minors."""
-    from modlat.complexes import koszul_complex
+    differential, against brute force: the rank is the largest size of a
+    nonzero minor, and the invariant factors from the gcds of the minors
+    are all the modulus, the gcd of the terms; so is the diagonal read
+    modulo it.  The homology is the closed form (Z/g)^C(r-1, i)."""
+    from modlat.complexes import homology_table, koszul_complex
 
     sequences = [(0,), (0, 0, 0), (0, 0, 0, 0), (1,), (-1, 0), (7,), (-7, 0, 0),
                  (5, 5), (-4, -4, -4, -4), (0, 4, -6), (-3, 0, 0, 9), (2, 2, 4, 4),
@@ -626,10 +633,18 @@ def test_koszul_known_pairs_are_rank_and_minor_gcd():
                                for _ in range(rng.randrange(1, 5))))
     for seq in sequences:
         k = koszul_complex(seq)
+        g = gcd(*seq)
         assert len(k._known) == len(seq)
         for d, (rank, modulus) in zip(k.differentials, k._known):
-            brute_rank, minors = _brute_rank_and_minors(d)
-            assert (rank, modulus) == (brute_rank, gcd(*minors)), (seq, d.shape)
+            brute_rank, _ = _brute_rank_and_minors(d)
+            factors = diagonal_from_determinantal_divisors(d)
+            assert rank == brute_rank and factors[:rank] == [g] * rank, (seq, d.shape)
+            assert modulus == (g or 1), (seq, d.shape)
+            assert list(_diagonal_modulo(d, rank, modulus)) == factors, (seq, d.shape)
+        r = len(seq)  # with g = 0 every differential is zero
+        assert homology_table(k) == {
+            i: ZModule.from_cyclic_orders(0, [g] * comb(r - 1, i)) if g
+            else ZModule.free(comb(r, i)) for i in range(r + 1)}, seq
 
 
 def _modulus_cases(rng):
@@ -654,28 +669,93 @@ def _modulus_cases(rng):
             yield random_unimodular(rng, rows)
 
 
+def _caller_inputs(rng):
+    """Seeded calls that reach `_diagonal_modulo` through each caller, by
+    name: Koszul tables with and without a common factor, kernels and
+    cokernels of maps between modules with torsion and free parts, and
+    subgroup classes (`lattice_type`)."""
+    from modlat import complexes, zmodules
+
+    def module():
+        chain = [rng.choice((2, 3, 4, 6))] if rng.random() < 0.8 else []
+        for _ in range(rng.randrange(3) if chain else 0):
+            chain.append(chain[-1] * rng.choice((1, 2, 3, 5)))
+        return ZModule(rng.randrange(3), tuple(chain))
+
+    def relations_respecting(m, n):
+        return IntMatrix([[rng.randint(-20, 20) if d == 0 else
+                           0 if e == 0 else e // gcd(d, e) * rng.randint(-4, 4)
+                           for d in m.generator_orders] for e in n.generator_orders],
+                         rows=n.generator_count, cols=m.generator_count)
+
+    for _ in range(40):
+        g = rng.choice((1, 2, 3, 6, 12))
+        seq = [g * rng.randint(-15, 15) for _ in range(rng.randrange(1, 6))]
+        yield "koszul", lambda seq=seq: complexes.homology_table(complexes.koszul_complex(seq))
+    for _ in range(120):
+        m, n = module(), module()
+        f = zmodules.ZModuleMap(m, n, relations_respecting(m, n))
+        free_rows = f.matrix.data[len(n.torsion):]
+        yield "kernel", lambda f=f: zmodules.kernel(f)
+        yield "cokernel with a free part" if any(map(any, free_rows)) else "cokernel", \
+            lambda f=f: zmodules.cokernel(f)
+        cols = rng.randint(1, 3)
+        gens = IntMatrix([[rng.randint(-6, 6) for _ in range(cols)]
+                          for _ in range(n.generator_count)], rows=n.generator_count, cols=cols)
+        yield "lattice_type", lambda n=n, gens=gens: zmodules.subgroup_type(n, gens)
+
+
 def test_diagonal_modulo_matches_snf(monkeypatch):
     """`_diagonal_modulo` against `snf(a).diagonal()`, modulo the product P
-    of the invariant factors and random multiples of it: blocks with no
-    unit reach `_make_unit`, and a modulus of 1 reads every factor as 1."""
-    from modlat import intlinalg
+    of the invariant factors and random multiples of it, modulo the largest
+    factor L and a multiple of L that P does not divide: blocks with no
+    unit reach `_make_unit`, a modulus of 1 reads every factor as 1, and c
+    times a matrix with unit factors is read modulo c, which divides every
+    entry.  Each caller passes the rank and a multiple of L."""
+    from modlat import complexes, intlinalg, zmodules
 
     made = []
     real = intlinalg._make_unit
     monkeypatch.setattr(intlinalg, "_make_unit",
                         lambda rows, modulus: made.append(modulus) or real(rows, modulus))
     rng = random.Random("diagonal-modulo")
-    ones = shapes = 0
+    pick = random.Random("diagonal-modulo:largest")
+    ones = shapes = past_product = dividing = 0
     for a in _modulus_cases(rng):
         diag = snf(a).diagonal()
         nonzero = [x for x in diag if x]
-        product = prod(nonzero)
+        product, largest = prod(nonzero), max(nonzero, default=1)
+        beyond = [k for k in range(2, 31) if largest * k % product] or [1]
+        k = pick.choice(beyond)
         for modulus in (product, product * rng.randint(2, 30),
-                        product * rng.choice((2, 3, 6)) ** rng.randrange(1, 6)):
+                        product * rng.choice((2, 3, 6)) ** rng.randrange(1, 6),
+                        largest, largest * k):
             assert _diagonal_modulo(a, len(nonzero), modulus) == diag, (a, modulus)
+        past_product += largest * k % product != 0
+        if largest == 1:
+            c = pick.choice((2, 6, 12, 10 ** 20 + 39))
+            assert _diagonal_modulo(a.scale(c), len(nonzero), c) == tuple(c * x for x in diag)
+            dividing += 1
         ones += product == 1
         shapes += not min(a.shape)
     assert len(made) >= 100 and ones >= 100 and shapes == 2
+    assert past_product >= 50 and dividing >= 100
+
+    passed = []
+    diagonal_modulo = intlinalg._diagonal_modulo
+    for module in (complexes, zmodules):
+        monkeypatch.setattr(module, "_diagonal_modulo", lambda a, rank, modulus:
+                            passed.append((a, rank, modulus)) or diagonal_modulo(a, rank, modulus))
+    callers = Counter()
+    for caller, call in _caller_inputs(random.Random("diagonal-modulo:callers")):
+        call()
+        for a, rank, modulus in passed:
+            nonzero = [x for x in snf(a).diagonal() if x]
+            assert rank == len(nonzero), (caller, a)
+            assert modulus % max(nonzero, default=1) == 0, (caller, a, modulus)
+            callers[caller] += max(nonzero, default=1) > 1
+        passed.clear()
+    assert min(callers.values()) >= 20 and len(callers) == 5, callers
 
 
 def _golden_matrices():
