@@ -54,9 +54,9 @@ from .suites import SuiteReport
 # primes of an n-variable context: at 3 variables they took 0.35 s and
 # 0.62 s, at 4 0.9 s and 4.1 s, and the round trip 7.9 s at 5 (wall time of
 # a fresh process).  A randomized trial takes from 0.03 ms (a membership
-# correspondence over Z) to 0.1 s (item 6 over 8 monomial variables), so
-# trial counts stop at the largest default, 1,000: the slowest request that
-# admits, `suite --only correspondences` over 8 variables, took 86 s.
+# correspondence over Z) to 3 ms (item 6 over 8 monomial variables), so
+# trial counts stop at the largest default, 1,000: the slowest requests that
+# admits, the whole `suite` with or without `--vars a,b,c`, took 7 to 9 s.
 KOSZUL_MAX_LENGTH = 8
 KOSZUL_MAX_DIGITS = 20
 SNF_MAX_DIM = 20

@@ -7,12 +7,12 @@ finitely generated abelian groups, kernels of module maps and the homology
 of free complexes; column-echelon bases give those diagonals their rank
 and modulus, and with forward substitution subgroup classes and membership.
 Full Smith forms with their transforms serve only the callers that read
-generators or U and V; they also record their row operations, each as a
-2 x 2 unimodular step on two rows or a sign flip, so U^-1 comes from the
-same elimination.  Each Euclid run of subtractions and swaps between two
-rows or two columns is worked out on two scalars and applied to the pair
-once, and a single subtraction touches only the pivot line's nonzero
-entries.
+generators or U and V.  They pivot on an entry of least magnitude and
+record their row operations, each as a 2 x 2 unimodular step on two rows
+or a sign flip, so U^-1 comes from the same elimination.  Each Euclid run
+of subtractions and swaps between two rows or two columns is worked out
+on two scalars and applied to the pair once, and a single subtraction
+touches only the pivot line's nonzero entries.
 
 `IntMatrix(...)` coerces every entry with `operator.index` and checks the
 shape.  Matrices the package computes from its own ints are built once,
@@ -174,7 +174,8 @@ class SmithDecomposition:
         operations E_1, ..., E_k, so U^-1 = E_1^-1 ... E_k^-1: starting from
         the identity, each operation in turn is undone as a column operation.
         A step (p, q, r, s) has determinant e = +-1, so its inverse is
-        e * (s, -q, -r, p)."""
+        e * (s, -q, -r, p); that of a single subtraction (1, 0, -c, 1) is
+        (1, 0, c, 1), which leaves column k as it is."""
         m = self.u.rows
         cols = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
         for op in self.row_records:
@@ -186,16 +187,13 @@ class SmithDecomposition:
             w, x, y, z = e * s, -e * q, -e * r, e * p  # the inverse step
             left, right = cols[i], cols[k]
             cols[i] = [w * a + y * b for a, b in zip(left, right)]
-            cols[k] = [x * a + z * b for a, b in zip(left, right)]
+            if x or z != 1:
+                cols[k] = [x * a + z * b for a, b in zip(left, right)]
         return IntMatrix._from_rows(zip(*cols), m, m)
 
 
-PIVOT_STRATEGIES = ("min_abs", "first_nonzero")
-
-
-def _find_pivot(d, m, n, t, strategy):
-    if strategy == "first_nonzero":
-        return next(((i, j) for i in range(t, m) for j in range(t, n) if d[i][j]), None)
+def _find_pivot(d, m, n, t):
+    """(i, j) of the first least-magnitude entry of D from (t, t), or None."""
     best = None
     for i in range(t, m):
         x = min(filter(None, d[i][t:n]), key=abs, default=0)
@@ -223,40 +221,34 @@ def _euclid_run(a, b):
         a, b, p, q, r, s = b, a, r, s, p, q
 
 
-def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
+def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form of an integer matrix.
 
-    The pivot `strategy` selects which nonzero entry of the working block is
-    moved into pivot position: "min_abs" takes a smallest-magnitude entry
-    (limits growth), "first_nonzero" takes the first in row-major order.  Both
-    produce the same diagonal, which the test suite uses as a cross-check.
-
-    Each working row holds a row of D followed by the same row of U, so a
-    row operation is one pass over both.  Step t starts with rows and
-    columns before t zero off the diagonal, so that pass starts at column t,
-    and a column operation runs over rows t onward.  V is kept as its list
-    of columns.  An entry is cleared against the pivot one way: a pivot
-    that divides it is subtracted once, and otherwise the subtractions and
-    swaps form a Euclid run between two rows (or two columns), whose first
-    quotient is 0 when the entry's floor quotient by the pivot is.  The run
-    is worked out on the two entries and its 2 x 2 composite applied to the
-    two rows of D and U (the two columns of D and V) in one pass each; in D
-    and U it skips the places where both lines are zero.  A single
-    subtraction changes the other row or column only where the pivot line
-    is nonzero: the pivot row's nonzero entries of D and U (V's column t's
-    nonzero entries) are listed once and reused until a run changes the
-    pivot line.  Of D's rows, such a column subtraction changes only row t
-    while column t is zero below the pivot.  Every row operation is recorded
-    as its 2 x 2 step (or a sign flip; see `SmithDecomposition`).
-    Integer arithmetic is exact, so U, D and V are those of the
-    step-by-step elimination.
+    Each step moves an entry of least magnitude of the working block into
+    pivot position (`_find_pivot`), which limits growth.  Each working row
+    holds a row of D followed by the same row of U, so a row operation is
+    one pass over both.  Step t starts with rows and columns before t zero
+    off the diagonal, so that pass starts at column t, and a column
+    operation runs over rows t onward.  V is kept as its list of columns.
+    An entry is cleared against the pivot one way: a pivot that divides it
+    is subtracted once, and otherwise the subtractions and swaps form a
+    Euclid run between two rows (or two columns), whose first quotient is 0
+    when the entry's floor quotient by the pivot is.  The run is worked out
+    on the two entries and its 2 x 2 composite applied to the two rows of D
+    and U (the two columns of D and V) in one pass each; in D and U it skips
+    the places where both lines are zero.  A single subtraction changes the
+    other row or column only where the pivot line is nonzero: the pivot
+    row's nonzero entries of D and U (V's column t's nonzero entries) are
+    listed once and reused until a run changes the pivot line.  Of D's rows,
+    such a column subtraction changes only row t while column t is zero
+    below the pivot.  Every row operation is recorded as its 2 x 2 step (or
+    a sign flip; see `SmithDecomposition`).  Integer arithmetic is exact, so
+    U, D and V are those of the step-by-step elimination.
 
     Returns:
         SmithDecomposition with u @ a @ v == d, |det u| == |det v| == 1,
         nonnegative diagonal satisfying the divisibility chain.
     """
-    if strategy not in PIVOT_STRATEGIES:
-        raise ValueError(f"unknown pivot strategy {strategy!r}")
     m, n = a.rows, a.cols
     # Row i is [row i of D | row i of U]; D's columns are 0 .. n-1.
     d = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a.data)]
@@ -265,7 +257,7 @@ def snf(a: IntMatrix, strategy: str = "min_abs") -> SmithDecomposition:
 
     t = 0
     while t < min(m, n):
-        piv = _find_pivot(d, m, n, t, strategy)
+        piv = _find_pivot(d, m, n, t)
         if piv is None:
             break
         i, j = piv
@@ -362,45 +354,6 @@ def _find_unit(rows, modulus):
     return None
 
 
-def _coprime_part(modulus: int, g: int) -> int:
-    """`modulus` with every prime factor of `g` divided out."""
-    while (h := gcd(modulus, g)) > 1:
-        modulus //= h
-    return modulus
-
-
-def _make_unit(rows, modulus) -> tuple[int, int]:
-    """Make the first nonzero entry of `rows`, at (i, j), a unit modulo
-    `modulus` when their entries generate the unit ideal but none is a unit.
-
-    Adding k times column l to column j, with k the part of the modulus prime
-    to gcd(column j, modulus), keeps every prime that already fails to divide
-    column j and brings in those that column l has, so after the other
-    columns column j generates the unit ideal.  The same step on rows then
-    makes the entry (i, j) a unit.
-    """
-    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
-    g = gcd(modulus, *(row[j] for row in rows))
-    for col in range(len(rows[0])):
-        if g == 1:
-            break
-        if gcd(g, *(row[col] for row in rows)) < g:
-            k = _coprime_part(modulus, g)
-            for row in rows:
-                row[j] = (row[j] + k * row[col]) % modulus
-            g = gcd(modulus, *(row[j] for row in rows))
-    top = rows[i]
-    g = gcd(modulus, top[j])
-    for row in rows:
-        if g == 1:
-            break
-        if gcd(g, row[j]) < g:
-            k = _coprime_part(modulus, g)
-            top[:] = [(x + k * y) % modulus for x, y in zip(top, row)]
-            g = gcd(modulus, top[j])
-    return i, j
-
-
 def _rank_and_modulus(a: IntMatrix) -> tuple[int, int]:
     """Rank r of `a` and a nonzero multiple M of its largest invariant
     factor, read off `column_basis(a)`: r is its column count, and M its
@@ -434,16 +387,20 @@ def _diagonal_modulo(a: IntMatrix, rank: int, modulus: int) -> tuple[int, ...]:
     every entry (modulo 1 it always does), it divides d_1 and so every
     factor, and all r factors are M.
 
-    Each step pivots on the first entry of the working rows that is a unit
-    modulo M: the pivot row leaves them, and every row left subtracts the
-    multiple of it that zeroes the pivot's column, only where the pivot row
-    is nonzero, so no row or column is ever permuted.  Rows with no unit
-    first have their common factor c with M divided out (the Smith form of
-    c*X is c times that of X, so every later factor is multiplied by c); if
-    there is still none, the entries and M are coprime, and adding multiples
-    of other columns and rows to one entry's makes it one (`_make_unit`).
-    Rows that vanish modulo M before step r give the factors so far times M
-    for each remaining step; the rest of the diagonal is zero.
+    Modulo any M > 0 the elimination gives gcd(d, M) for each of the first
+    r factors d of `a` (d = 0 past its rank).  Each step pivots on the first
+    entry of the working rows that is a unit modulo M: the pivot row leaves
+    them, and every row left subtracts the multiple of it that zeroes the
+    pivot's column, only where the pivot row is nonzero, so no row or
+    column is ever permuted.  Rows with no unit first have their common
+    factor c with M divided out (the Smith form of c*X is c times that of
+    X, so every later factor is multiplied by c).  If the rows B left still
+    have none, some entry x leaves a prime of the modulus M' left out, so
+    M' splits into coprime parts P > 1, made of the primes of x (the gcd of
+    M' and x^e for e past every exponent of M'), and M'/P > 1, and each
+    remaining factor is gcd(d, P) * gcd(d, M'/P), read off B modulo each
+    part.  Rows that vanish modulo M before step r give the factors so far
+    times M for each remaining step; the rest of the diagonal is zero.
     """
     if modulus == 1 or not any(x % modulus for row in a.data for x in row):
         return (modulus,) * rank + (0,) * (min(a.shape) - rank)
@@ -463,7 +420,13 @@ def _diagonal_modulo(a: IntMatrix, rank: int, modulus: int) -> tuple[int, ...]:
                 rows = [[x // c for x in row] for row in rows]
                 piv = _find_unit(rows, modulus)
             if piv is None:
-                piv = _make_unit(rows, modulus)
+                e, k = modulus.bit_length(), rank - t
+                part = next(p for row in rows for x in row
+                            if (p := gcd(modulus, pow(x, e, modulus))) < modulus)
+                b = IntMatrix._from_rows(rows, len(rows), len(rows[0]))
+                low, high = _diagonal_modulo(b, k, part), _diagonal_modulo(b, k, modulus // part)
+                diag += [scale * x * y for x, y in zip(low[:k], high)]
+                break
         i, j = piv
         top = rows.pop(i)
         inv = pow(top[j], -1, modulus)

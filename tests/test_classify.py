@@ -1,6 +1,7 @@
 """Criterion map and membership tests."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,11 +20,13 @@ from modlat.classify import (
     supp_union,
     torsion_closure,
 )
-from modlat.monomials import MonomialIdeal, MonomialModule
+from modlat.monomials import MonomialIdeal, MonomialModule, variable_sum_regular
 from modlat.spectrum import PrimeId, SpecSubset, Z_BACKEND, monomial_backend
 from modlat.suites import (
+    _variable_sums_transfer,
     adjunction_report,
     correspondence_suite,
+    random_monomial_module,
     random_zmodule,
     roundtrip_suite,
 )
@@ -214,6 +217,24 @@ def test_correspondence_items_monomial(item):
     report = correspondence_suite(item, monomial_backend(("x", "y", "z")),
                                   trials=120, seed=7)
     assert report.passed, [c.detail for c in report.failures()]
+
+
+def test_variable_sums_transfer_matches_every_subset():
+    """Item 6's walk over the minimal variable sets regular on X gives the
+    verdict of deciding all 2^n - 1 nonempty sets, on seeded modules over
+    3 to 8 variables, with both verdicts at every count."""
+    for n in range(3, 9):
+        context = tuple("abcdefgh"[:n])
+        rng = random.Random(f"variable-sums:{n}")
+        verdicts = []
+        for _ in range(20):
+            x, m = random_monomial_module(rng, context), random_monomial_module(rng, context)
+            every = all(all(variable_sum_regular(combo, s) for s in m.summands)
+                        for size in range(1, n + 1) for combo in combinations(context, size)
+                        if all(variable_sum_regular(combo, s) for s in x.summands))
+            assert _variable_sums_transfer(x, m) == every, (x, m)
+            verdicts.append(every)
+        assert len(set(verdicts)) == 2, n
 
 
 def test_correspondence_rejects_wrong_backend():

@@ -131,11 +131,9 @@ def test_koszul_modulus_is_a_power_of_the_gcd(monkeypatch):
     assert koszul_complex([6, -10, 14])._known == ((1, 2), (2, 2), (1, 2))
     assert koszul_complex([8])._known == ((1, 8),)
     assert koszul_complex([0, 0])._known == ((0, 1), (0, 1))
-    searched = []
-    for name in ("_find_unit", "_make_unit"):
-        real = getattr(intlinalg, name)
-        monkeypatch.setattr(intlinalg, name, lambda *args, real=real, name=name:
-                            searched.append(name) or real(*args))
+    searched = []  # every elimination step, and so every split modulus, starts here
+    real = intlinalg._find_unit
+    monkeypatch.setattr(intlinalg, "_find_unit", lambda *args: searched.append(args) or real(*args))
     g = 6007 * 6221 * 8629 * 9857
     assert gcd(*SHARED_PRIME_QUOTIENTS) == g
     assert all(gcd(x // g, g) > 1 for x in SHARED_PRIME_QUOTIENTS)

@@ -15,7 +15,6 @@ import pytest
 from torsion_reference import presented
 
 from modlat.intlinalg import (
-    PIVOT_STRATEGIES,
     _diagonal_modulo,
     _find_pivot,
     _rank_and_modulus,
@@ -153,7 +152,7 @@ def test_snf_round_trip_properties():
         assert all(x >= 0 for x in diag)
         chain = [x for x in diag if x]
         assert all(b % a_ == 0 for a_, b in zip(chain, chain[1:]))
-        assert snf(a, strategy="first_nonzero").diagonal() == diag
+        assert smith_diagonal(a) == diag
 
 
 def random_unimodular(rng, n):
@@ -320,27 +319,26 @@ def _replayed_records(dec):
     return IntMatrix._from_rows(rows, m, m)
 
 
-@pytest.mark.parametrize("strategy", PIVOT_STRATEGIES)
-def test_u_inverse_from_recorded_row_operations(strategy):
+def test_u_inverse_from_recorded_row_operations():
     """Every row record is a sign flip or a unimodular 2 x 2 step, the
     records rebuild U from the identity, and `u_inverse` inverts U.  On the
     run matrices and dense 20 x 20 ones, whose U can have thousands of bits,
     U^-1 is checked by its product with U alone."""
-    for a in _seeded_matrices(f"u-inverse:{strategy}"):
-        dec = snf(a, strategy)
+    for a in _seeded_matrices("u-inverse"):
+        dec = snf(a)
         assert _replayed_records(dec) == dec.u
         inv = dec.u_inverse()
         assert inv == invert_unimodular(dec.u)
         assert inv @ dec.u == IntMatrix.identity(a.rows)
         # U^-1 @ D @ V^-1 recovers the input
         assert inv @ dec.d @ invert_unimodular(dec.v) == a
-    rng = random.Random(f"u-inverse-dense:{strategy}")
+    rng = random.Random("u-inverse-dense")
     dense = [IntMatrix([[rng.randint(-9, 9) for _ in range(20)] for _ in range(20)])
              for _ in range(3)]
     for a in chain(_run_matrices(), dense):
-        dec = snf(a, strategy)
-        assert _replayed_records(dec) == dec.u, (a, strategy)
-        assert dec.u_inverse() @ dec.u == IntMatrix.identity(a.rows), (a, strategy)
+        dec = snf(a)
+        assert _replayed_records(dec) == dec.u, a
+        assert dec.u_inverse() @ dec.u == IntMatrix.identity(a.rows), a
 
 
 
@@ -739,15 +737,16 @@ def test_diagonal_modulo_matches_snf(monkeypatch):
     """`_diagonal_modulo` against `snf(a).diagonal()`, modulo the product P
     of the invariant factors and random multiples of it, modulo the largest
     factor L and a multiple of L that P does not divide: blocks with no
-    unit reach `_make_unit`, a modulus of 1 reads every factor as 1, and c
+    unit after their common factor is divided out split the modulus into
+    two coprime parts, a modulus of 1 reads every factor as 1, and c
     times a matrix with unit factors is read modulo c, which divides every
     entry.  Each caller passes the rank and a multiple of L."""
     from modlat import complexes, intlinalg, zmodules
 
-    made = []
-    real = intlinalg._make_unit
-    monkeypatch.setattr(intlinalg, "_make_unit",
-                        lambda rows, modulus: made.append(modulus) or real(rows, modulus))
+    parts = []  # the recursive calls, two for each split modulus
+    real = intlinalg._diagonal_modulo
+    monkeypatch.setattr(intlinalg, "_diagonal_modulo", lambda a, rank, modulus:
+                        parts.append(modulus) or real(a, rank, modulus))
     rng = random.Random("diagonal-modulo")
     pick = random.Random("diagonal-modulo:largest")
     ones = shapes = past_product = dividing = 0
@@ -768,7 +767,7 @@ def test_diagonal_modulo_matches_snf(monkeypatch):
             dividing += 1
         ones += product == 1
         shapes += not min(a.shape)
-    assert len(made) >= 100 and ones >= 100 and shapes == 2
+    assert len(parts) >= 200 and ones >= 100 and shapes == 2, len(parts)
     assert past_product >= 50 and dividing >= 100
 
     passed = []
@@ -805,18 +804,16 @@ def _golden_matrices():
 
 
 def test_snf_golden_digest():
-    """U, D, V and U^-1 of `snf`, under both strategies, hash to the digest
-    recorded before every row operation was recorded as one 2 x 2 step:
-    the same integers, whatever the record shapes."""
+    """U, D, V and U^-1 of `snf` on the golden matrices hash to a pinned
+    digest, so any change to these integers shows here."""
     h = hashlib.sha256()
-    for strategy in PIVOT_STRATEGIES:
-        for a in _golden_matrices():
-            dec = snf(a, strategy)
-            h.update(repr((dec.u.data, dec.d.data, dec.v.data, dec.u_inverse().data)).encode())
-    assert h.hexdigest() == "9078b58ba32678df92c0135e8f7c87ae0c7f02788ef1546575931ef45b621b43"
+    for a in _golden_matrices():
+        dec = snf(a)
+        h.update(repr((dec.u.data, dec.d.data, dec.v.data, dec.u_inverse().data)).encode())
+    assert h.hexdigest() == "dec2ec8e3d3c368302cfd2666d6dbf3771edaa676a1caf3dcb7fab429783461a"
 
 
-def _snf_step_by_step(a, strategy):
+def _snf_step_by_step(a):
     """The slow-path reference for `snf`: the same elimination with every
     step of a Euclid run applied to whole rows or columns as it is taken.
     Returns U, D and V as tuples, the lengths of the row runs and column
@@ -850,7 +847,7 @@ def _snf_step_by_step(a, strategy):
 
     t = 0
     while t < min(m, n):
-        piv = _find_pivot(d, m, n, t, strategy)
+        piv = _find_pivot(d, m, n, t)
         if piv is None:
             break
         if piv[0] != t:
@@ -983,14 +980,13 @@ def test_snf_matches_the_step_by_step_reference():
     loop."""
     longest_row_run = longest_col_run = 0
     counts = Counter()
-    for strategy in PIVOT_STRATEGIES:
-        for a in chain(_run_matrices(), _sparse_matrices()):
-            dec = snf(a, strategy)
-            expected, row_runs, col_runs, clears = _snf_step_by_step(a, strategy)
-            assert (dec.u.data, dec.d.data, dec.v.data) == expected, (a, strategy)
-            longest_row_run = max(longest_row_run, *row_runs, 0)
-            longest_col_run = max(longest_col_run, *col_runs, 0)
-            counts += clears
+    for a in chain(_run_matrices(), _sparse_matrices()):
+        dec = snf(a)
+        expected, row_runs, col_runs, clears = _snf_step_by_step(a)
+        assert (dec.u.data, dec.d.data, dec.v.data) == expected, a
+        longest_row_run = max(longest_row_run, *row_runs, 0)
+        longest_col_run = max(longest_col_run, *col_runs, 0)
+        counts += clears
     assert longest_row_run >= 16
     assert longest_col_run >= 3
     assert counts["sparse_row"] and counts["sparse_v"] and counts["after_change"], counts
